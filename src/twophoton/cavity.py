@@ -73,10 +73,16 @@ def mode_at_wavelength(wavelength: Wavelength, host: BulkHost, quality: float,
                       quality=quality, volume=volume, eta=eta, psi=psi)
 
 
+def _mismatch_raw(omega, mode: CavityMode):
+    """Array-friendly core of lorentzian_mismatch; omega is raw rad/s, a
+    scalar or a numpy array."""
+    x = omega / mode.omega_c.rad_per_s
+    return x / (1.0 + 4.0 * mode.quality**2 * (x - 1.0) ** 2)
+
+
 def lorentzian_mismatch(omega: AngularFrequency, mode: CavityMode) -> float:
     """phi(omega) = (omega/omega_c) / (1 + 4 Q^2 (omega/omega_c - 1)^2)."""
-    x = omega.rad_per_s / mode.omega_c.rad_per_s
-    return x / (1.0 + 4.0 * mode.quality**2 * (x - 1.0) ** 2)
+    return _mismatch_raw(omega.rad_per_s, mode)
 
 
 def bulk_mode_density(omega: AngularFrequency, host: BulkHost, volume: float) -> float:

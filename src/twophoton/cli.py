@@ -19,13 +19,14 @@ import argparse
 import math
 import sys
 
-from .presets import PRESET_NAMES, preset_config
-from .quantities import C
-from .rates import QuadratureError
+from .cavity import purcell_factor
+from .quantities import angular_frequency_to_wavelength
+from .rates import QuadratureError, _tpa_enhancement
 from .scenario import (
     ConfigError,
     OutputError,
     SweepError,
+    config_from_dict,
     load_config,
     reproduce_fig3a,
     reproduce_fig3b,
@@ -57,51 +58,31 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _check_preset(name: str) -> None:
-    if name not in PRESET_NAMES:
-        known = ", ".join(PRESET_NAMES)
-        raise ConfigError(f"preset must be one of: {known}; got {name!r}")
-
-
 def _cmd_fig3a(args) -> int:
-    _check_preset(args.preset)
-    _emit(reproduce_fig3a(), "csv", args.output)
+    _emit(reproduce_fig3a(args.preset), "csv", args.output)
     return 0
 
 
 def _cmd_fig3b(args) -> int:
-    _check_preset(args.preset)
-    _emit(reproduce_fig3b(), "csv", args.output)
+    _emit(reproduce_fig3b(args.preset), "csv", args.output)
     return 0
 
 
 def _cmd_enhancement(args) -> int:
-    _check_preset(args.preset)
-    base = preset_config(args.preset)
-    n = base["dot"]["refractive_index"]
-    mode_entries = base["modes"]
-    drive_entries = base["drives"]
     for value, name in ((args.q1, "--q1"), (args.q2, "--q2"),
                         (args.v1_cubic_wavelengths, "--v1-cubic-wavelengths"),
                         (args.v2_cubic_wavelengths, "--v2-cubic-wavelengths")):
         if not (value > 0.0 and math.isfinite(value)):
             raise ConfigError(f"{name} must be positive and finite, got {value!r}")
-
-    values: dict[str, float] = {}
-    qs = (args.q1, args.q2)
-    vs = (args.v1_cubic_wavelengths, args.v2_cubic_wavelengths)
-    for i in (0, 1):
-        entry = mode_entries[i]
-        if "wavelength_nm" in entry:
-            lam = entry["wavelength_nm"] * 1e-9
-        else:
-            lam = 2.0 * math.pi * C / entry["omega_rad_per_s"]
-        eta = entry.get("eta", 1.0)
-        area = drive_entries[i]["spot_area_um2"] * 1e-12
-        volume = vs[i] * (lam / n) ** 3
-        # on resonance: phi = 1
-        values[f"F{i + 1}"] = 3.0 / (4.0 * math.pi**2) * qs[i] / vs[i]
-        values[f"G{i + 1}"] = eta * qs[i] * area * lam / (math.pi * volume * n)
+    modes = [{"quality": args.q1, "volume_cubic_wavelengths": args.v1_cubic_wavelengths},
+             {"quality": args.q2, "volume_cubic_wavelengths": args.v2_cubic_wavelengths}]
+    ex = config_from_dict({"preset": args.preset, "modes": modes}).experiment
+    host = ex.dot.host
+    values = {}
+    for i, mode, drive in ((1, ex.mode1, ex.drive1), (2, ex.mode2, ex.drive2)):
+        values[f"F{i}"] = purcell_factor(angular_frequency_to_wavelength(mode.omega_c),
+                                         host, mode)
+        values[f"G{i}"] = _tpa_enhancement(drive, mode, host)
     values["F1F2"] = values["F1"] * values["F2"]
     values["G1G2"] = values["G1"] * values["G2"]
     for name in ("F1", "F2", "F1F2", "G1", "G2", "G1G2"):

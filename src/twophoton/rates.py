@@ -26,11 +26,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .cavity import BulkHost, CavityMode, lorentzian_mismatch, purcell_factor
+from .cavity import (
+    BulkHost,
+    CavityMode,
+    _mismatch_raw,
+    lorentzian_mismatch,
+    purcell_factor,
+)
 from .quantities import (
     AngularFrequency,
     C,
@@ -46,12 +52,9 @@ from .stark import (
     IntermediateState,
     LateralField,
     QuantumDotModel,
-    SingularDetuningError,
     _m12_raw,
-    _term_denominators,
     default_intermediate_states,
     dipole_ss,
-    state_dipole_pair,
 )
 
 __all__ = [
@@ -182,7 +185,6 @@ class Experiment:
     stim_drive2: DriveField
     linewidth: Linewidth | None = None
     mode_d: CavityMode | None = None
-    states: tuple[IntermediateState, ...] | None = None
 
     def resolved_linewidth(self) -> Linewidth:
         if self.linewidth is not None:
@@ -228,36 +230,20 @@ def effective_rabi(channel1: PhotonChannel, channel2: PhotonChannel,
                    direction: str = ABSORPTION,
                    states: Sequence[IntermediateState] | None = None,
                    min_detuning: float = DEFAULT_MIN_DETUNING) -> float:
-    """Two-photon effective Rabi rate, rad/s: for each intermediate state,
-    both photon orderings of the one-leg Rabi rates divided by that
-    ordering's detuning, summed and taken in magnitude."""
-    if direction not in (ABSORPTION, EMISSION):
-        raise ValueError(
-            f"direction must be 'absorption' or 'emission', got {direction!r}")
+    """Two-photon effective Rabi rate, rad/s: f1 f2 M12, the two-ordering
+    sum over intermediate states factored into the transition moment and
+    each channel's one-leg quantized Rabi rate per unit dipole."""
     if states is None:
         states = default_intermediate_states(model)
-    n = model.host.n
-    d_gk, d_ke = state_dipole_pair(field, model)
-    occ1 = channel1.photons + (1.0 if direction == EMISSION else 0.0)
-    occ2 = channel2.photons + (1.0 if direction == EMISSION else 0.0)
-    f1 = math.sqrt(occ1) * _vacuum_coupling(channel1.omega.rad_per_s,
-                                            channel1.volume, n) / HBAR
-    f2 = math.sqrt(occ2) * _vacuum_coupling(channel2.omega.rad_per_s,
-                                            channel2.volume, n) / HBAR
-    om_gk1 = d_gk * f1 * channel1.psi_gk
-    om_ke1 = d_ke * f1 * channel1.psi_ke
-    om_gk2 = d_gk * f2 * channel2.psi_gk
-    om_ke2 = d_ke * f2 * channel2.psi_ke
-    total = 0.0
-    for state in states:
-        den1, den2 = _term_denominators(
-            state.energy_above_ground.rad_per_s, model.omega_d.rad_per_s,
-            channel1.omega.rad_per_s, channel2.omega.rad_per_s, direction)
-        for which, den in (("photon-1-first", den1), ("photon-2-first", den2)):
-            if abs(den) < min_detuning:
-                raise SingularDetuningError(state.label, which, den, min_detuning)
-        total += om_gk1 * om_ke2 / den1 + om_gk2 * om_ke1 / den2
-    return abs(total)
+    m = _m12_raw(channel1.omega.rad_per_s, channel2.omega.rad_per_s, field, model,
+                 states, direction, channel1.psi_gk, channel1.psi_ke,
+                 channel2.psi_gk, channel2.psi_ke, min_detuning)
+    unit, host = DipoleMoment(1.0), model.host
+    f1 = quantized_rabi_rate(unit, channel1.omega, channel1.photons, channel1.volume,
+                             host, occupation=direction)
+    f2 = quantized_rabi_rate(unit, channel2.omega, channel2.photons, channel2.volume,
+                             host, occupation=direction)
+    return float(f1 * f2 * m)
 
 
 def on_shell_two_photon_rate(omega_eff: float, detuning: float,
@@ -291,16 +277,34 @@ def photon_number_cavity(drive: DriveField, mode: CavityMode) -> float:
 # --- spontaneous-emission spectral densities ------------------------------
 
 
-def _bulk_factor(omega, n: float):
-    # n w^3 / (3 pi^2 hbar eps0 c^3); omega raw rad/s scalar or array
-    return n * omega**3 / (3.0 * math.pi**2 * HBAR * EPS0 * C**3)
+def _leg_factor(omega, mode: CavityMode | None, n: float):
+    # one photon's environment factor, omega raw rad/s scalar or array:
+    # bulk n w^3 / (3 pi^2 hbar eps0 c^3) when mode is None, otherwise the
+    # cavity's 2 Q phi(w) / (pi hbar n^2 eps0 V)
+    if mode is None:
+        return n * omega**3 / (3.0 * math.pi**2 * HBAR * EPS0 * C**3)
+    return 2.0 * mode.quality * _mismatch_raw(omega, mode) / (
+        math.pi * HBAR * n**2 * EPS0 * mode.volume)
 
 
-def _cavity_factor(omega, mode: CavityMode, n: float):
-    # 2 Q phi(w) / (pi hbar n^2 eps0 V); array-friendly phi
-    x = omega / mode.omega_c.rad_per_s
-    phi = x / (1.0 + 4.0 * mode.quality**2 * (x - 1.0) ** 2)
-    return 2.0 * mode.quality * phi / (math.pi * HBAR * n**2 * EPS0 * mode.volume)
+# emission environment -> how many photons go into a cavity mode: the w1
+# photon into mode1, then the w2 photon into mode2; the rest into the bulk
+_CAVITY_LEGS = {"bulk": 0, "single": 1, "double": 2}
+
+
+def _legs(environment: str, mode1: CavityMode | None,
+          mode2: CavityMode | None) -> tuple:
+    """The leg table: (mode at w1, mode at w2) of an emission environment,
+    None standing for the bulk continuum."""
+    count = _CAVITY_LEGS.get(environment)
+    if count is None:
+        raise ValueError(
+            f"environment must be 'bulk', 'single' or 'double', got {environment!r}")
+    legs = (mode1, mode2)[:count] + (None, None)[count:]
+    if any(leg is None for leg in legs[:count]):
+        needed = " and ".join(("mode1", "mode2")[:count])
+        raise ValueError(f"{environment}-mode environment needs {needed}")
+    return legs
 
 
 def _check_omega2(omega2: AngularFrequency, model: QuantumDotModel) -> float:
@@ -312,16 +316,32 @@ def _check_omega2(omega2: AngularFrequency, model: QuantumDotModel) -> float:
     return w2
 
 
-def _density_raw(w2, field: LateralField, model: QuantumDotModel,
-                 factor1: Callable, factor2: Callable,
-                 states: Sequence[IntermediateState],
-                 psi: tuple[float, float, float, float],
-                 min_detuning: float):
-    # dGamma/dw2 = (pi/2) factor1(w1) factor2(w2) M12^2, w1 = w_d - w2
+def _density_raw(w2, field: LateralField, model: QuantumDotModel, environment: str,
+                 mode1: CavityMode | None, mode2: CavityMode | None,
+                 states: Sequence[IntermediateState], min_detuning: float):
+    # dGamma/dw2 = (pi/2) [leg factor at w1] [leg factor at w2] M12^2 with
+    # w1 = w_d - w2; w2 raw rad/s scalar or array. Mode overlaps enter
+    # through the transition legs.
+    leg1, leg2 = _legs(environment, mode1, mode2)
+    psi1 = 1.0 if leg1 is None else leg1.psi
+    psi2 = 1.0 if leg2 is None else leg2.psi
+    n = model.host.n
     w1 = model.omega_d.rad_per_s - w2
     m = _m12_raw(w1, w2, field, model, states, EMISSION,
-                 psi[0], psi[1], psi[2], psi[3], min_detuning)
-    return (math.pi / 2.0) * factor1(w1) * factor2(w2) * m * m
+                 psi1, psi1, psi2, psi2, min_detuning)
+    return (math.pi / 2.0) * _leg_factor(w1, leg1, n) * _leg_factor(w2, leg2, n) * m * m
+
+
+def _spectral_density(omega2: AngularFrequency, model: QuantumDotModel,
+                      field: LateralField, environment: str,
+                      mode1: CavityMode | None, mode2: CavityMode | None,
+                      states: Sequence[IntermediateState] | None,
+                      min_detuning: float) -> float:
+    w2 = _check_omega2(omega2, model)
+    if states is None:
+        states = default_intermediate_states(model)
+    return float(_density_raw(w2, field, model, environment, mode1, mode2,
+                              states, min_detuning))
 
 
 def tpse_spectral_density_bulk(omega2: AngularFrequency, model: QuantumDotModel,
@@ -330,14 +350,8 @@ def tpse_spectral_density_bulk(omega2: AngularFrequency, model: QuantumDotModel,
                                min_detuning: float = DEFAULT_MIN_DETUNING) -> float:
     """Free-space two-photon emission density dGamma/dw2 at w2, the partner
     photon taking up w1 = w_d - w2. Dimensionless. All psi = 1."""
-    w2 = _check_omega2(omega2, model)
-    if states is None:
-        states = default_intermediate_states(model)
-    n = model.host.n
-    return float(_density_raw(w2, field, model,
-                              lambda w: _bulk_factor(w, n),
-                              lambda w: _bulk_factor(w, n),
-                              states, (1.0, 1.0, 1.0, 1.0), min_detuning))
+    return _spectral_density(omega2, model, field, "bulk", None, None, states,
+                             min_detuning)
 
 
 def tpse_spectral_density_cavity(omega2: AngularFrequency, model: QuantumDotModel,
@@ -347,15 +361,8 @@ def tpse_spectral_density_cavity(omega2: AngularFrequency, model: QuantumDotMode
                                  min_detuning: float = DEFAULT_MIN_DETUNING) -> float:
     """Double-mode emission density: both photons filtered by their cavity
     Lorentzians. Mode overlaps enter through the transition legs."""
-    w2 = _check_omega2(omega2, model)
-    if states is None:
-        states = default_intermediate_states(model)
-    n = model.host.n
-    psi = (mode1.psi, mode1.psi, mode2.psi, mode2.psi)
-    return float(_density_raw(w2, field, model,
-                              lambda w: _cavity_factor(w, mode1, n),
-                              lambda w: _cavity_factor(w, mode2, n),
-                              states, psi, min_detuning))
+    return _spectral_density(omega2, model, field, "double", mode1, mode2, states,
+                             min_detuning)
 
 
 def tpse_spectral_density_single_mode(omega2: AngularFrequency,
@@ -365,46 +372,11 @@ def tpse_spectral_density_single_mode(omega2: AngularFrequency,
                                       min_detuning: float = DEFAULT_MIN_DETUNING) -> float:
     """Single-mode emission density: the w1 photon goes into mode 1, the w2
     photon into the free-space continuum."""
-    w2 = _check_omega2(omega2, model)
-    if states is None:
-        states = default_intermediate_states(model)
-    n = model.host.n
-    psi = (mode1.psi, mode1.psi, 1.0, 1.0)
-    return float(_density_raw(w2, field, model,
-                              lambda w: _cavity_factor(w, mode1, n),
-                              lambda w: _bulk_factor(w, n),
-                              states, psi, min_detuning))
+    return _spectral_density(omega2, model, field, "single", mode1, None, states,
+                             min_detuning)
 
 
 # --- total emission rate by quadrature ------------------------------------
-
-
-def _density_on_grid(w2_grid: np.ndarray, field: LateralField,
-                     model: QuantumDotModel, environment: str,
-                     mode1: CavityMode | None, mode2: CavityMode | None,
-                     states: Sequence[IntermediateState],
-                     min_detuning: float) -> np.ndarray:
-    n = model.host.n
-    if environment == "bulk":
-        f1 = lambda w: _bulk_factor(w, n)
-        f2 = lambda w: _bulk_factor(w, n)
-        psi = (1.0, 1.0, 1.0, 1.0)
-    elif environment == "single":
-        if mode1 is None:
-            raise ValueError("single-mode environment needs mode1")
-        f1 = lambda w: _cavity_factor(w, mode1, n)
-        f2 = lambda w: _bulk_factor(w, n)
-        psi = (mode1.psi, mode1.psi, 1.0, 1.0)
-    elif environment == "double":
-        if mode1 is None or mode2 is None:
-            raise ValueError("double-mode environment needs mode1 and mode2")
-        f1 = lambda w: _cavity_factor(w, mode1, n)
-        f2 = lambda w: _cavity_factor(w, mode2, n)
-        psi = (mode1.psi, mode1.psi, mode2.psi, mode2.psi)
-    else:
-        raise ValueError(
-            f"environment must be 'bulk', 'single' or 'double', got {environment!r}")
-    return _density_raw(w2_grid, field, model, f1, f2, states, psi, min_detuning)
 
 
 def _initial_intervals(model: QuantumDotModel, environment: str,
@@ -436,8 +408,8 @@ def tpse_total_fixed(model: QuantumDotModel, field: LateralField, environment: s
         states = default_intermediate_states(model)
     grid = np.linspace(0.0, model.omega_d.rad_per_s, intervals + 1)
     values = np.zeros_like(grid)
-    values[1:-1] = _density_on_grid(grid[1:-1], field, model, environment,
-                                    mode1, mode2, states, min_detuning)
+    values[1:-1] = _density_raw(grid[1:-1], field, model, environment,
+                                mode1, mode2, states, min_detuning)
     return float(np.trapezoid(values, grid))
 
 
@@ -482,23 +454,22 @@ def tpste_rate(model: QuantumDotModel, field: LateralField, mode1: CavityMode,
     w2 photon driven into mode 2 and the w1 = w_d - w2 partner emitted
     spontaneously into mode 1:
 
-        (pi/2) [2 Q1 phi1 / (pi hbar n^2 eps0 V1)]
-             * [eta2 P2 Q2 phi2 / (2 hbar^2 w2 n^2 eps0 V2)] M12^2
+        (pi/2) [2 Q1 phi1 / (pi hbar n^2 eps0 V1)] [N2 (g2/hbar)^2] M12^2
 
-    Linear in the stimulation power P2.
+    with N2 = eta2 P2 Q2 phi2 / (hbar w2^2) the intracavity photon number
+    of the stimulation drive and g2 = sqrt(hbar w2 / (2 n^2 eps0 V2)) the
+    single-photon field of mode 2. Linear in the stimulation power P2.
     """
     w2 = _check_omega2(drive2.omega, model)
     if states is None:
         states = default_intermediate_states(model)
     n = model.host.n
     w1 = model.omega_d.rad_per_s - w2
-    eta2 = drive2.coupling if drive2.coupling is not None else mode2.eta
-    phi2 = lorentzian_mismatch(drive2.omega, mode2)
-    stim = eta2 * drive2.power * mode2.quality * phi2 / (
-        2.0 * HBAR**2 * w2 * n**2 * EPS0 * mode2.volume)
+    stim = photon_number_cavity(drive2, mode2) \
+        * (_vacuum_coupling(w2, mode2.volume, n) / HBAR) ** 2
     m = _m12_raw(w1, w2, field, model, states, EMISSION,
                  mode1.psi, mode1.psi, mode2.psi, mode2.psi, min_detuning)
-    return float((math.pi / 2.0) * _cavity_factor(w1, mode1, n) * stim * m * m)
+    return float((math.pi / 2.0) * _leg_factor(w1, mode1, n) * stim * m * m)
 
 
 def _tpa_channels_bulk(drive1: DriveField, drive2: DriveField,
@@ -560,21 +531,17 @@ def opse_rate(model: QuantumDotModel, field: LateralField,
 
 
 def _tpa_enhancement(drive: DriveField, mode: CavityMode, host: BulkHost) -> float:
-    # G = eta Q phi A lambda / (pi V n), at the drive frequency
-    if drive.spot_area is None:
-        raise ValueError("TPA enhancement needs drive.spot_area")
-    eta = drive.coupling if drive.coupling is not None else mode.eta
-    lam = angular_frequency_to_wavelength(drive.omega).meters
-    phi = lorentzian_mismatch(drive.omega, mode)
-    return eta * mode.quality * phi * drive.spot_area * lam / (
-        math.pi * mode.volume * host.n)
+    """G = eta Q phi A lambda / (pi V n) at the drive frequency: the
+    intracavity photon number over the bulk one inside the mode volume.
+    The drive power cancels, so both are taken at 1 W."""
+    unit = DriveField(drive.omega, 1.0, drive.spot_area, drive.coupling)
+    return photon_number_cavity(unit, mode) / photon_number_bulk(unit, mode.volume, host)
 
 
 def evaluate_point(field_v_per_m: float, experiment: Experiment) -> RateReport:
     """All reported quantities at one lateral-field strength."""
     field = LateralField(field_v_per_m)
     ex = experiment
-    lw = ex.resolved_linewidth()
 
     ch1 = PhotonChannel(ex.drive1.omega, ex.mode1.volume,
                         photon_number_cavity(ex.drive1, ex.mode1),
@@ -582,12 +549,12 @@ def evaluate_point(field_v_per_m: float, experiment: Experiment) -> RateReport:
     ch2 = PhotonChannel(ex.drive2.omega, ex.mode2.volume,
                         photon_number_cavity(ex.drive2, ex.mode2),
                         ex.mode2.psi, ex.mode2.psi)
-    om_eff = effective_rabi(ch1, ch2, field, ex.dot, ABSORPTION, ex.states)
+    om_eff = effective_rabi(ch1, ch2, field, ex.dot, ABSORPTION)
 
-    tpste = tpste_rate(ex.dot, field, ex.mode1, ex.mode2, ex.stim_drive2, ex.states)
+    tpste = tpste_rate(ex.dot, field, ex.mode1, ex.mode2, ex.stim_drive2)
     opse = opse_rate(ex.dot, field, ex.mode_d)
     density = tpse_spectral_density_cavity(ex.drive2.omega, ex.dot, field,
-                                           ex.mode1, ex.mode2, ex.states)
+                                           ex.mode1, ex.mode2)
 
     w2 = ex.drive2.omega
     w1 = AngularFrequency(ex.dot.omega_d.rad_per_s - w2.rad_per_s)

@@ -90,6 +90,9 @@ __all__ = [
 ]
 
 DEFAULT_FIG3B_FIELD_V_PER_UM = 0.75
+# far above every grid in use (a few thousand points); rejects a typo that
+# would allocate gigabytes before the first row
+MAX_SWEEP_POINTS = 10**6
 
 
 class ConfigError(ValueError):
@@ -254,12 +257,14 @@ def _validate_sweep(entry: dict) -> None:
     if variable not in ("field", "omega2"):
         raise ConfigError(f"sweep.variable must be 'field' or 'omega2', "
                           f"got {variable!r}")
-    low = _number(entry, "min", "sweep",
-                  minimum=0.0 if variable == "field" else None)
+    # omega2 is a photon frequency, so strictly positive
+    low = _number(entry, "min", "sweep", minimum=0.0,
+                  exclusive=variable == "omega2")
     high = _number(entry, "max", "sweep")
     if not low < high:
         raise ConfigError(f"sweep.min must be < sweep.max, got {low!r} and {high!r}")
-    _number(entry, "points", "sweep", minimum=2, integer=True)
+    _number(entry, "points", "sweep", minimum=2, maximum=MAX_SWEEP_POINTS,
+            integer=True)
     log = entry.get("log", False)
     if not isinstance(log, bool):
         raise ConfigError(f"sweep.log must be a boolean, got {log!r}")
@@ -426,9 +431,8 @@ def _run_omega2_sweep(config: ScenarioConfig) -> tuple:
         omega2 = AngularFrequency(float(w2))
         try:
             cav_density = tpse_spectral_density_cavity(
-                omega2, ex.dot, field, ex.mode1, ex.mode2, ex.states)
-            bulk_density = tpse_spectral_density_bulk(
-                omega2, ex.dot, field, ex.states)
+                omega2, ex.dot, field, ex.mode1, ex.mode2)
+            bulk_density = tpse_spectral_density_bulk(omega2, ex.dot, field)
         except (SingularDetuningError, ValueError) as exc:
             raise SweepError(i, "omega2_rad_per_s", float(w2), str(exc)) from exc
         cavity[i] = HBAR * w2 * cav_density        # emitted power density, W s/rad
@@ -457,19 +461,19 @@ def run_sweep(config: ScenarioConfig) -> SweepResult:
     )
 
 
-def reproduce_fig3a() -> SweepResult:
+def reproduce_fig3a(preset: str = "paper-fig3") -> SweepResult:
     """Lateral-field sweep of the preset working point: 0 to 2 V/um over
-    200 points, reporting all rate curves per point."""
-    return run_sweep(config_from_dict({"preset": "paper-fig3"}))
+    200 points (paper-fig3's sweep), reporting all rate curves per point."""
+    return run_sweep(config_from_dict({"preset": preset}))
 
 
-def reproduce_fig3b() -> SweepResult:
-    """Emitted-power spectrum across the mode-2 resonance at 0.75 V/um:
-    401 points spanning 4 cavity linewidths each side of center, cavity and
-    bulk environments normalized to the bulk in-window peak."""
-    base = preset_config("paper-fig3")
-    center = base["modes"][1]["omega_rad_per_s"]
-    width = center / base["modes"][1]["quality"]
+def reproduce_fig3b(preset: str = "paper-fig3") -> SweepResult:
+    """Emitted-power spectrum across the preset's mode-2 resonance at
+    0.75 V/um: 401 points spanning 4 cavity linewidths each side of center,
+    cavity and bulk environments normalized to the bulk in-window peak."""
+    mode2 = config_from_dict({"preset": preset}).experiment.mode2
+    center = mode2.omega_c.rad_per_s
+    width = center / mode2.quality
     sweep = {
         "variable": "omega2",
         "min": center - 4.0 * width,
@@ -477,7 +481,7 @@ def reproduce_fig3b() -> SweepResult:
         "points": 401,
         "field_v_per_um": DEFAULT_FIG3B_FIELD_V_PER_UM,
     }
-    return run_sweep(config_from_dict({"preset": "paper-fig3", "sweep": sweep}))
+    return run_sweep(config_from_dict({"preset": preset, "sweep": sweep}))
 
 
 # --- serialization ----------------------------------------------------------

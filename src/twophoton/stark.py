@@ -202,14 +202,27 @@ class StateDetunings(NamedTuple):
     photon2_first: float    # rad/s
 
 
-def _term_denominators(energy_above_ground, omega_d, omega1, omega2, direction):
-    # raw floats or arrays; returns (photon1-first, photon2-first) denominators
+def _term_denominators(state: IntermediateState, omega_d, omega1, omega2,
+                       direction: str, min_detuning: float):
+    """(photon-1-first, photon-2-first) denominators of one intermediate
+    state; omega_d, omega1 and omega2 are raw rad/s scalars or numpy arrays.
+    Raises SingularDetuningError when any magnitude falls below
+    min_detuning (rad/s)."""
+    energy = state.energy_above_ground.rad_per_s
     if direction == ABSORPTION:
-        return energy_above_ground - omega1, energy_above_ground - omega2
-    if direction == EMISSION:
-        base = energy_above_ground - omega_d
-        return base + omega2, base + omega1
-    raise ValueError(f"direction must be 'absorption' or 'emission', got {direction!r}")
+        d1, d2 = energy - omega1, energy - omega2
+    elif direction == EMISSION:
+        base = energy - omega_d
+        d1, d2 = base + omega2, base + omega1
+    else:
+        raise ValueError(f"direction must be 'absorption' or 'emission', got {direction!r}")
+    for ordering, d in (("photon-1-first", d1), ("photon-2-first", d2)):
+        # one reduction: on a scalar about half the cost of np.any(np.abs(d) < floor)
+        smallest = np.abs(d).min()
+        if smallest < min_detuning:
+            raise SingularDetuningError(state.label, ordering, float(smallest),
+                                        min_detuning)
+    return d1, d2
 
 
 def intermediate_detunings(omega1: AngularFrequency, omega2: AngularFrequency,
@@ -225,17 +238,10 @@ def intermediate_detunings(omega1: AngularFrequency, omega2: AngularFrequency,
     """
     if states is None:
         states = default_intermediate_states(model)
-    out = []
-    for state in states:
-        d1, d2 = _term_denominators(state.energy_above_ground.rad_per_s,
-                                    model.omega_d.rad_per_s,
-                                    omega1.rad_per_s, omega2.rad_per_s, direction)
-        if abs(d1) < min_detuning:
-            raise SingularDetuningError(state.label, "photon-1-first", d1, min_detuning)
-        if abs(d2) < min_detuning:
-            raise SingularDetuningError(state.label, "photon-2-first", d2, min_detuning)
-        out.append(StateDetunings(state, d1, d2))
-    return out
+    return [StateDetunings(state, *_term_denominators(
+                state, model.omega_d.rad_per_s, omega1.rad_per_s,
+                omega2.rad_per_s, direction, min_detuning))
+            for state in states]
 
 
 def _m12_raw(omega1, omega2, field: LateralField, model: QuantumDotModel,
@@ -247,15 +253,12 @@ def _m12_raw(omega1, omega2, field: LateralField, model: QuantumDotModel,
     product = dipole_product_sp(field, model)
     total = 0.0
     for state in states:
-        d1, d2 = _term_denominators(state.energy_above_ground.rad_per_s,
-                                    model.omega_d.rad_per_s, omega1, omega2, direction)
-        if np.any(np.abs(d1) < min_detuning):
-            bad = float(np.min(np.abs(d1)))
-            raise SingularDetuningError(state.label, "photon-1-first", bad, min_detuning)
-        if np.any(np.abs(d2) < min_detuning):
-            bad = float(np.min(np.abs(d2)))
-            raise SingularDetuningError(state.label, "photon-2-first", bad, min_detuning)
+        d1, d2 = _term_denominators(state, model.omega_d.rad_per_s, omega1, omega2,
+                                    direction, min_detuning)
         total = total + product * (psi_gk1 * psi_ke2 / d1 + psi_gk2 * psi_ke1 / d2)
+        # free them before the next state's are made: on a quadrature grid
+        # each is as large as the grid
+        del d1, d2
     return np.abs(total)
 
 
@@ -272,8 +275,6 @@ def m12(omega1: AngularFrequency, omega2: AngularFrequency, field: LateralField,
 
     with (D1, D2) the per-state term denominators for the chosen direction.
     """
-    if direction not in (ABSORPTION, EMISSION):
-        raise ValueError(f"direction must be 'absorption' or 'emission', got {direction!r}")
     if states is None:
         states = default_intermediate_states(model)
     value = _m12_raw(omega1.rad_per_s, omega2.rad_per_s, field, model, states,

@@ -58,6 +58,15 @@ def test_sweep_invalid_config_names_field(tmp_path, capsys):
     assert "sweep.points" in capsys.readouterr().err
 
 
+def test_omega2_sweep_nonpositive_min_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "omega2.yaml"
+    cfg.write_text(
+        "preset: paper-fig3\n"
+        "sweep:\n  variable: omega2\n  min: -1.0\n  max: 1.0e15\n  points: 3\n")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert "sweep.min" in capsys.readouterr().err
+
+
 def test_sweep_runtime_error_exits_1(tmp_path, capsys):
     # drive 1 on the conduction-p resonance: singular at the first grid point
     import yaml
@@ -81,9 +90,11 @@ def test_sweep_runtime_error_exits_1(tmp_path, capsys):
 def test_fig3a_deterministic_bytes(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
+    named = tmp_path / "named.csv"
     assert main(["fig3a", "--output", str(a)]) == 0
     assert main(["fig3a", "--output", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    assert main(["fig3a", "--preset", "paper-fig3", "--output", str(named)]) == 0
+    assert a.read_bytes() == b.read_bytes() == named.read_bytes()
     assert a.read_text() == result_to_csv_text(reproduce_fig3a())
 
 

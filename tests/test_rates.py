@@ -6,6 +6,7 @@ rates from the bracket-product closed forms and from frozen numbers that
 were computed independently.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -477,6 +478,16 @@ def test_evaluate_point_preset_row(experiment):
     assert row.tpse_spectral_density == pytest.approx(
         1.4514008254446735e-07, rel=1e-12)
     assert row.enhancement_tpse == pytest.approx(144365.37545649847, rel=1e-12)
+    assert row.enhancement_tpa == pytest.approx(10652.12701045333, rel=1e-12)
+
+
+def test_evaluate_point_zero_power_drive(experiment):
+    # G is a property of the mode and the beam, not of the power: an unpowered
+    # drive leaves the TPA enhancement as is and switches TPA off
+    dark = dataclasses.replace(experiment, drive1=dataclasses.replace(
+        experiment.drive1, power=0.0))
+    row = evaluate_point(0.75 * V_PER_UM, dark)
+    assert row.omega_eff_over_2pi == 0.0
     assert row.enhancement_tpa == pytest.approx(10652.12701045333, rel=1e-12)
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from twophoton.presets import preset_config
 from twophoton.scenario import (
+    MAX_SWEEP_POINTS,
     ConfigError,
     OutputError,
     SpectralRow,
@@ -151,6 +152,7 @@ REJECTIONS = [
     (("sweep", "max"), _DELETE, "sweep.max"),
     (("sweep", "points"), 1, "sweep.points"),
     (("sweep", "points"), 2.5, "sweep.points"),
+    (("sweep", "points"), MAX_SWEEP_POINTS + 1, "sweep.points"),
     (("sweep", "log"), "yes", "sweep.log"),
     (("sweep", "field_v_per_um"), 0.75, "field_v_per_um"),
     (("sweep", "stride"), 3, "unknown key 'stride' in sweep"),
@@ -202,6 +204,14 @@ def test_omega2_sweep_range_checked_against_dot_line():
     cfg = preset_config("paper-fig3")
     cfg["sweep"] = {"variable": "omega2", "min": 1e14, "max": 3e15, "points": 3}
     with pytest.raises(ConfigError, match="sweep.max"):
+        config_from_dict(cfg)
+
+
+@pytest.mark.parametrize("low", [-1.0, 0.0])
+def test_omega2_sweep_needs_positive_min(low):
+    cfg = preset_config("paper-fig3")
+    cfg["sweep"] = {"variable": "omega2", "min": low, "max": 1e15, "points": 3}
+    with pytest.raises(ConfigError, match="sweep.min must be > 0"):
         config_from_dict(cfg)
 
 
