@@ -1,20 +1,23 @@
 """Two-photon and one-photon transition rates for the driven dot.
 
 All rates come from the second-order amplitude through the p-shell
-intermediate states. The generic on-shell rate is
+intermediate states: a transition moment M12, which depends only on the
+dot, the field and the two photon frequencies, times one environment
+factor per photon leg. The generic on-shell rate is
 
     gamma = 2 pi |Omega_eff|^2 L(w_d - w_1 - w_2)
 
-with Omega_eff the two-ordering sum of quantized Rabi rates over
-intermediate states and L a unit-area Lorentzian standing in for the
-energy-conservation delta. Spectral densities for spontaneous emission
+with Omega_eff the product of M12 and each photon's one-leg quantized
+Rabi rate per unit dipole, and L a unit-area Lorentzian standing in for
+the energy-conservation delta. Spectral densities for spontaneous emission
 replace per-photon occupation factors with mode densities:
 
     bulk factor    f(w)  = n w^3 / (3 pi^2 hbar eps0 c^3)
-    cavity factor  g(w)  = 2 Q phi(w) / (pi hbar n^2 eps0 V)
+    cavity factor  g(w)  = 2 Q psi^2 phi(w) / (pi hbar n^2 eps0 V)
     density        dGamma/dw2 = (pi/2) [factor at w1] [factor at w2] M12^2
 
-with w1 = w_d - w2 on shell. Stimulated-plus-spontaneous emission into a
+with w1 = w_d - w2 on shell and psi the overlap of a mode with the dot
+(psi = 1 for a bulk leg). Stimulated-plus-spontaneous emission into a
 driven mode-2 cavity multiplies the double-mode density by
 eta2 P2 pi / (4 hbar w2).
 
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -47,13 +49,10 @@ from .quantities import (
 )
 from .stark import (
     ABSORPTION,
-    DEFAULT_MIN_DETUNING,
     EMISSION,
-    IntermediateState,
     LateralField,
     QuantumDotModel,
     _m12_raw,
-    default_intermediate_states,
     dipole_ss,
 )
 
@@ -132,13 +131,12 @@ class Linewidth:
 class PhotonChannel:
     """One photon slot of a two-photon process: its frequency, the volume it
     is quantized in, the mean photon number already present, and the overlap
-    factors of the two transition legs it drives."""
+    psi of its mode with the dot."""
 
     omega: AngularFrequency
     volume: float                # m^3
     photons: float               # mean occupation, >= 0
-    psi_gk: float = 1.0
-    psi_ke: float = 1.0
+    psi: float = 1.0
 
     def __post_init__(self):
         if not (self.volume > 0.0):
@@ -227,22 +225,18 @@ def quantized_rabi_rate(d: DipoleMoment, omega: AngularFrequency, photons: float
 
 def effective_rabi(channel1: PhotonChannel, channel2: PhotonChannel,
                    field: LateralField, model: QuantumDotModel,
-                   direction: str = ABSORPTION,
-                   states: Sequence[IntermediateState] | None = None,
-                   min_detuning: float = DEFAULT_MIN_DETUNING) -> float:
+                   direction: str = ABSORPTION) -> float:
     """Two-photon effective Rabi rate, rad/s: f1 f2 M12, the two-ordering
     sum over intermediate states factored into the transition moment and
-    each channel's one-leg quantized Rabi rate per unit dipole."""
-    if states is None:
-        states = default_intermediate_states(model)
+    each channel's one-leg quantized Rabi rate per unit dipole, which
+    carries the channel's overlap psi."""
     m = _m12_raw(channel1.omega.rad_per_s, channel2.omega.rad_per_s, field, model,
-                 states, direction, channel1.psi_gk, channel1.psi_ke,
-                 channel2.psi_gk, channel2.psi_ke, min_detuning)
+                 direction)
     unit, host = DipoleMoment(1.0), model.host
     f1 = quantized_rabi_rate(unit, channel1.omega, channel1.photons, channel1.volume,
-                             host, occupation=direction)
+                             host, psi=channel1.psi, occupation=direction)
     f2 = quantized_rabi_rate(unit, channel2.omega, channel2.photons, channel2.volume,
-                             host, occupation=direction)
+                             host, psi=channel2.psi, occupation=direction)
     return float(f1 * f2 * m)
 
 
@@ -280,10 +274,10 @@ def photon_number_cavity(drive: DriveField, mode: CavityMode) -> float:
 def _leg_factor(omega, mode: CavityMode | None, n: float):
     # one photon's environment factor, omega raw rad/s scalar or array:
     # bulk n w^3 / (3 pi^2 hbar eps0 c^3) when mode is None, otherwise the
-    # cavity's 2 Q phi(w) / (pi hbar n^2 eps0 V)
+    # cavity's 2 Q psi^2 phi(w) / (pi hbar n^2 eps0 V)
     if mode is None:
         return n * omega**3 / (3.0 * math.pi**2 * HBAR * EPS0 * C**3)
-    return 2.0 * mode.quality * _mismatch_raw(omega, mode) / (
+    return 2.0 * mode.quality * mode.psi**2 * _mismatch_raw(omega, mode) / (
         math.pi * HBAR * n**2 * EPS0 * mode.volume)
 
 
@@ -317,63 +311,45 @@ def _check_omega2(omega2: AngularFrequency, model: QuantumDotModel) -> float:
 
 
 def _density_raw(w2, field: LateralField, model: QuantumDotModel, environment: str,
-                 mode1: CavityMode | None, mode2: CavityMode | None,
-                 states: Sequence[IntermediateState], min_detuning: float):
+                 mode1: CavityMode | None, mode2: CavityMode | None):
     # dGamma/dw2 = (pi/2) [leg factor at w1] [leg factor at w2] M12^2 with
     # w1 = w_d - w2; w2 raw rad/s scalar or array. Mode overlaps enter
-    # through the transition legs.
+    # through the leg factors.
     leg1, leg2 = _legs(environment, mode1, mode2)
-    psi1 = 1.0 if leg1 is None else leg1.psi
-    psi2 = 1.0 if leg2 is None else leg2.psi
     n = model.host.n
     w1 = model.omega_d.rad_per_s - w2
-    m = _m12_raw(w1, w2, field, model, states, EMISSION,
-                 psi1, psi1, psi2, psi2, min_detuning)
+    m = _m12_raw(w1, w2, field, model, EMISSION)
     return (math.pi / 2.0) * _leg_factor(w1, leg1, n) * _leg_factor(w2, leg2, n) * m * m
 
 
 def _spectral_density(omega2: AngularFrequency, model: QuantumDotModel,
                       field: LateralField, environment: str,
-                      mode1: CavityMode | None, mode2: CavityMode | None,
-                      states: Sequence[IntermediateState] | None,
-                      min_detuning: float) -> float:
+                      mode1: CavityMode | None, mode2: CavityMode | None) -> float:
     w2 = _check_omega2(omega2, model)
-    if states is None:
-        states = default_intermediate_states(model)
-    return float(_density_raw(w2, field, model, environment, mode1, mode2,
-                              states, min_detuning))
+    return float(_density_raw(w2, field, model, environment, mode1, mode2))
 
 
 def tpse_spectral_density_bulk(omega2: AngularFrequency, model: QuantumDotModel,
-                               field: LateralField,
-                               states: Sequence[IntermediateState] | None = None,
-                               min_detuning: float = DEFAULT_MIN_DETUNING) -> float:
+                               field: LateralField) -> float:
     """Free-space two-photon emission density dGamma/dw2 at w2, the partner
     photon taking up w1 = w_d - w2. Dimensionless. All psi = 1."""
-    return _spectral_density(omega2, model, field, "bulk", None, None, states,
-                             min_detuning)
+    return _spectral_density(omega2, model, field, "bulk", None, None)
 
 
 def tpse_spectral_density_cavity(omega2: AngularFrequency, model: QuantumDotModel,
                                  field: LateralField, mode1: CavityMode,
-                                 mode2: CavityMode,
-                                 states: Sequence[IntermediateState] | None = None,
-                                 min_detuning: float = DEFAULT_MIN_DETUNING) -> float:
+                                 mode2: CavityMode) -> float:
     """Double-mode emission density: both photons filtered by their cavity
-    Lorentzians. Mode overlaps enter through the transition legs."""
-    return _spectral_density(omega2, model, field, "double", mode1, mode2, states,
-                             min_detuning)
+    Lorentzians, scaled by (psi1 psi2)^2."""
+    return _spectral_density(omega2, model, field, "double", mode1, mode2)
 
 
 def tpse_spectral_density_single_mode(omega2: AngularFrequency,
                                       model: QuantumDotModel, field: LateralField,
-                                      mode1: CavityMode,
-                                      states: Sequence[IntermediateState] | None = None,
-                                      min_detuning: float = DEFAULT_MIN_DETUNING) -> float:
+                                      mode1: CavityMode) -> float:
     """Single-mode emission density: the w1 photon goes into mode 1, the w2
-    photon into the free-space continuum."""
-    return _spectral_density(omega2, model, field, "single", mode1, None, states,
-                             min_detuning)
+    photon into the free-space continuum. Scaled by psi1^2."""
+    return _spectral_density(omega2, model, field, "single", mode1, None)
 
 
 # --- total emission rate by quadrature ------------------------------------
@@ -395,29 +371,23 @@ def _initial_intervals(model: QuantumDotModel, environment: str,
 
 def tpse_total_fixed(model: QuantumDotModel, field: LateralField, environment: str,
                      intervals: int, mode1: CavityMode | None = None,
-                     mode2: CavityMode | None = None,
-                     states: Sequence[IntermediateState] | None = None,
-                     min_detuning: float = DEFAULT_MIN_DETUNING) -> float:
+                     mode2: CavityMode | None = None) -> float:
     """Composite-trapezoid total of the chosen spectral density over
     w2 in (0, w_d) at exactly `intervals` trapezoid panels, no convergence
     loop. Doubling `intervals` nests the grids exactly. The integrand
     vanishes at both endpoints (w^3 factors and phi -> 0)."""
     if intervals < 2:
         raise ValueError(f"grid needs at least 2 intervals, got {intervals!r}")
-    if states is None:
-        states = default_intermediate_states(model)
     grid = np.linspace(0.0, model.omega_d.rad_per_s, intervals + 1)
     values = np.zeros_like(grid)
-    values[1:-1] = _density_raw(grid[1:-1], field, model, environment,
-                                mode1, mode2, states, min_detuning)
+    values[1:-1] = _density_raw(grid[1:-1], field, model, environment, mode1, mode2)
     return float(np.trapezoid(values, grid))
 
 
 def tpse_total(model: QuantumDotModel, field: LateralField, environment: str = "bulk",
                mode1: CavityMode | None = None, mode2: CavityMode | None = None,
-               states: Sequence[IntermediateState] | None = None,
-               initial_intervals: int | None = None, rel_change: float = 1e-3,
-               min_detuning: float = DEFAULT_MIN_DETUNING) -> float:
+               initial_intervals: int | None = None,
+               rel_change: float = 1e-3) -> float:
     """Total spontaneous two-photon rate, 1/s: the spectral density integrated
     over the emitted-frequency half-axis, doubling the trapezoid grid until
     successive estimates agree to rel_change (default 0.1%). Raises
@@ -426,12 +396,10 @@ def tpse_total(model: QuantumDotModel, field: LateralField, environment: str = "
         else _initial_intervals(model, environment, mode1, mode2)
     if intervals < 2:
         raise ValueError(f"grid needs at least 2 intervals, got {intervals!r}")
-    previous = tpse_total_fixed(model, field, environment, intervals, mode1, mode2,
-                                states, min_detuning)
+    previous = tpse_total_fixed(model, field, environment, intervals, mode1, mode2)
     while True:
         intervals *= 2
-        current = tpse_total_fixed(model, field, environment, intervals, mode1,
-                                   mode2, states, min_detuning)
+        current = tpse_total_fixed(model, field, environment, intervals, mode1, mode2)
         scale = max(abs(current), abs(previous))
         if scale == 0.0:       # identically zero integrand (zero field)
             return 0.0
@@ -447,67 +415,51 @@ def tpse_total(model: QuantumDotModel, field: LateralField, environment: str = "
 
 
 def tpste_rate(model: QuantumDotModel, field: LateralField, mode1: CavityMode,
-               mode2: CavityMode, drive2: DriveField,
-               states: Sequence[IntermediateState] | None = None,
-               min_detuning: float = DEFAULT_MIN_DETUNING) -> float:
+               mode2: CavityMode, drive2: DriveField) -> float:
     """Stimulated-plus-spontaneous two-photon emission rate, 1/s, with the
     w2 photon driven into mode 2 and the w1 = w_d - w2 partner emitted
     spontaneously into mode 1:
 
-        (pi/2) [2 Q1 phi1 / (pi hbar n^2 eps0 V1)] [N2 (g2/hbar)^2] M12^2
+        (pi/2) [2 Q1 psi1^2 phi1 / (pi hbar n^2 eps0 V1)] [N2 (psi2 g2/hbar)^2] M12^2
 
     with N2 = eta2 P2 Q2 phi2 / (hbar w2^2) the intracavity photon number
     of the stimulation drive and g2 = sqrt(hbar w2 / (2 n^2 eps0 V2)) the
     single-photon field of mode 2. Linear in the stimulation power P2.
     """
     w2 = _check_omega2(drive2.omega, model)
-    if states is None:
-        states = default_intermediate_states(model)
     n = model.host.n
     w1 = model.omega_d.rad_per_s - w2
     stim = photon_number_cavity(drive2, mode2) \
-        * (_vacuum_coupling(w2, mode2.volume, n) / HBAR) ** 2
-    m = _m12_raw(w1, w2, field, model, states, EMISSION,
-                 mode1.psi, mode1.psi, mode2.psi, mode2.psi, min_detuning)
+        * (_vacuum_coupling(w2, mode2.volume, n) * mode2.psi / HBAR) ** 2
+    m = _m12_raw(w1, w2, field, model, EMISSION)
     return float((math.pi / 2.0) * _leg_factor(w1, mode1, n) * stim * m * m)
 
 
-def _tpa_channels_bulk(drive1: DriveField, drive2: DriveField,
-                       host: BulkHost) -> tuple[PhotonChannel, PhotonChannel]:
-    # quantization volume cancels against the photon number; use 1 m^3
-    return (
-        PhotonChannel(drive1.omega, 1.0, photon_number_bulk(drive1, 1.0, host)),
-        PhotonChannel(drive2.omega, 1.0, photon_number_bulk(drive2, 1.0, host)),
-    )
-
-
 def tpa_rate_bulk(drive1: DriveField, drive2: DriveField, model: QuantumDotModel,
-                  field: LateralField, lw: Linewidth,
-                  states: Sequence[IntermediateState] | None = None,
-                  min_detuning: float = DEFAULT_MIN_DETUNING) -> float:
+                  field: LateralField, lw: Linewidth) -> float:
     """Two-photon absorption rate, 1/s, for two focused beams in the bare
     host; equivalent closed form
     (pi/2) [P1/(2 hbar^2 n eps0 c A1)] [P2/(2 hbar^2 n eps0 c A2)] M12^2 L."""
-    ch1, ch2 = _tpa_channels_bulk(drive1, drive2, model.host)
-    om = effective_rabi(ch1, ch2, field, model, ABSORPTION, states, min_detuning)
+    # quantization volume cancels against the photon number; use 1 m^3
+    ch1 = PhotonChannel(drive1.omega, 1.0, photon_number_bulk(drive1, 1.0, model.host))
+    ch2 = PhotonChannel(drive2.omega, 1.0, photon_number_bulk(drive2, 1.0, model.host))
+    om = effective_rabi(ch1, ch2, field, model, ABSORPTION)
     detuning = model.omega_d.rad_per_s - drive1.omega.rad_per_s - drive2.omega.rad_per_s
     return on_shell_two_photon_rate(om, detuning, lw)
 
 
 def tpa_rate_cavity(drive1: DriveField, drive2: DriveField, mode1: CavityMode,
                     mode2: CavityMode, model: QuantumDotModel, field: LateralField,
-                    lw: Linewidth,
-                    states: Sequence[IntermediateState] | None = None,
-                    min_detuning: float = DEFAULT_MIN_DETUNING) -> float:
+                    lw: Linewidth) -> float:
     """Two-photon absorption rate, 1/s, with both drives fed through cavity
     modes. Built from the intracavity photon numbers, so each per-photon
     bracket is eta P Q phi / (hbar^2 w n^2 eps0 V) and the enhancement over
     the bulk rate is exactly G1 G2 with G = eta Q A lambda / (pi V n)."""
     ch1 = PhotonChannel(drive1.omega, mode1.volume,
-                        photon_number_cavity(drive1, mode1), mode1.psi, mode1.psi)
+                        photon_number_cavity(drive1, mode1), mode1.psi)
     ch2 = PhotonChannel(drive2.omega, mode2.volume,
-                        photon_number_cavity(drive2, mode2), mode2.psi, mode2.psi)
-    om = effective_rabi(ch1, ch2, field, model, ABSORPTION, states, min_detuning)
+                        photon_number_cavity(drive2, mode2), mode2.psi)
+    om = effective_rabi(ch1, ch2, field, model, ABSORPTION)
     detuning = model.omega_d.rad_per_s - drive1.omega.rad_per_s - drive2.omega.rad_per_s
     return on_shell_two_photon_rate(om, detuning, lw)
 
@@ -544,11 +496,9 @@ def evaluate_point(field_v_per_m: float, experiment: Experiment) -> RateReport:
     ex = experiment
 
     ch1 = PhotonChannel(ex.drive1.omega, ex.mode1.volume,
-                        photon_number_cavity(ex.drive1, ex.mode1),
-                        ex.mode1.psi, ex.mode1.psi)
+                        photon_number_cavity(ex.drive1, ex.mode1), ex.mode1.psi)
     ch2 = PhotonChannel(ex.drive2.omega, ex.mode2.volume,
-                        photon_number_cavity(ex.drive2, ex.mode2),
-                        ex.mode2.psi, ex.mode2.psi)
+                        photon_number_cavity(ex.drive2, ex.mode2), ex.mode2.psi)
     om_eff = effective_rabi(ch1, ch2, field, ex.dot, ABSORPTION)
 
     tpste = tpste_rate(ex.dot, field, ex.mode1, ex.mode2, ex.stim_drive2)

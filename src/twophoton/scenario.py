@@ -23,7 +23,7 @@ be overridden, list entries merging element-wise by position):
     drives:                             # exactly 3: photon-1, photon-2, stimulation
       - wavelength_nm: 1550.0           # or omega_rad_per_s (exactly one)
         power_uw: 12.0
-        spot_area_um2: 1.0              # optional (needed for bulk comparisons)
+        spot_area_um2: 1.0              # field sweeps need it on drives 0 and 1
         coupling: 0.02                  # optional, overrides the mode's eta
       - ...
     sweep:
@@ -33,18 +33,24 @@ be overridden, list entries merging element-wise by position):
       points: 200
       log: false                        # optional log spacing (needs min > 0)
       field_v_per_um: 0.75              # omega2 sweeps only: field to hold
-    linewidth:                          # optional; default is the zero-field
-      gamma_d_rad_per_s: 1.0e9          # one-photon emission rate
+    linewidth:                          # optional; no sweep output reads it
+      gamma_d_rad_per_s: 1.0e9
     output:                             # optional; CLI flags take precedence
       path: sweep.csv
       format: csv                       # or json
 
-Field sweeps evaluate the full rate report per grid point; omega2 sweeps
+Field sweeps evaluate the full rate report per grid point, and need a
+spot area on drives 0 and 1 for the G1*G2 column; omega2 sweeps
 emit relative emitted-power spectra (cavity and bulk, normalized to the
 bulk peak inside the window). Grid points are mutually independent, so they
 may be evaluated concurrently; rows always come out in grid order. Output
 is deterministic: the run timestamp lives on the result object only and is
 never serialized.
+
+`linewidth` only sets Experiment.linewidth, the delta-regularization width
+that Experiment.resolved_linewidth hands to the tpa_rate_* functions of the
+Python API (defaulting to the zero-field one-photon rate). No sweep column
+depends on it, so it changes no CSV or JSON byte.
 """
 
 from __future__ import annotations
@@ -301,6 +307,12 @@ def _validate(config: dict) -> None:
     if "sweep" not in config:
         raise ConfigError("sweep is required")
     _validate_sweep(config["sweep"])
+    if config["sweep"]["variable"] == "field":
+        # the G1*G2 column compares each TPA drive with its focused bulk beam
+        for i in (0, 1):
+            if "spot_area_um2" not in drives[i]:
+                raise ConfigError(f"drives[{i}].spot_area_um2 is required by field "
+                                  f"sweeps (the G1*G2 column)")
 
     if "linewidth" in config:
         lw = _require_mapping(config["linewidth"], "linewidth")

@@ -245,17 +245,19 @@ def intermediate_detunings(omega1: AngularFrequency, omega2: AngularFrequency,
 
 
 def _m12_raw(omega1, omega2, field: LateralField, model: QuantumDotModel,
-             states: Sequence[IntermediateState], direction: str,
-             psi_gk1: float, psi_ke1: float, psi_gk2: float, psi_ke2: float,
-             min_detuning: float):
-    """Array-friendly core of m12; omega1/omega2 are raw rad/s scalars or
-    numpy arrays broadcast against each other."""
+             direction: str, states: Sequence[IntermediateState] | None = None,
+             min_detuning: float = DEFAULT_MIN_DETUNING):
+    """Array-friendly core of m12 at unit mode overlaps; omega1/omega2 are
+    raw rad/s scalars or numpy arrays broadcast against each other. states
+    default to the model's two p-shell channels."""
+    if states is None:
+        states = default_intermediate_states(model)
     product = dipole_product_sp(field, model)
     total = 0.0
     for state in states:
         d1, d2 = _term_denominators(state, model.omega_d.rad_per_s, omega1, omega2,
                                     direction, min_detuning)
-        total = total + product * (psi_gk1 * psi_ke2 / d1 + psi_gk2 * psi_ke1 / d2)
+        total = total + product * (1.0 / d1 + 1.0 / d2)
         # free them before the next state's are made: on a quadrature grid
         # each is as large as the grid
         del d1, d2
@@ -266,17 +268,17 @@ def m12(omega1: AngularFrequency, omega2: AngularFrequency, field: LateralField,
         model: QuantumDotModel,
         states: Sequence[IntermediateState] | None = None,
         direction: str = ABSORPTION,
-        psi_gk1: float = 1.0, psi_ke1: float = 1.0,
-        psi_gk2: float = 1.0, psi_ke2: float = 1.0,
+        psi1: float = 1.0, psi2: float = 1.0,
         min_detuning: float = DEFAULT_MIN_DETUNING) -> float:
     """Two-photon transition moment, C^2 m^2 s:
 
-        M12 = | sum_k d_gk d_ke (psi_gk1 psi_ke2 / D1 + psi_gk2 psi_ke1 / D2) |
+        M12 = psi1 psi2 | sum_k d_gk d_ke (1/D1 + 1/D2) |
 
-    with (D1, D2) the per-state term denominators for the chosen direction.
+    with (D1, D2) the per-state term denominators for the chosen direction
+    and psi1, psi2 the overlaps of the dot with the modes of photons 1 and 2.
+    A photon in one mode has one overlap with the dot, so the overlaps
+    factor out of the two-ordering sum.
     """
-    if states is None:
-        states = default_intermediate_states(model)
-    value = _m12_raw(omega1.rad_per_s, omega2.rad_per_s, field, model, states,
-                     direction, psi_gk1, psi_ke1, psi_gk2, psi_ke2, min_detuning)
-    return float(value)
+    value = _m12_raw(omega1.rad_per_s, omega2.rad_per_s, field, model, direction,
+                     states, min_detuning)
+    return psi1 * psi2 * float(value)

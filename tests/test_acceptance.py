@@ -289,14 +289,14 @@ def test_c08_exchange_symmetry(dot):
         w1 = AngularFrequency(wd - w2.rad_per_s)
         field = LateralField(rng.uniform(0.05, 1.5) * V_PER_UM)
         u = rng.uniform(0.1, 1.0)
-        base = m12(w1, w2, field, dot, psi_gk1=u, psi_ke1=u, psi_gk2=u, psi_ke2=u)
-        swap = m12(w2, w1, field, dot, psi_gk1=u, psi_ke1=u, psi_gk2=u, psi_ke2=u)
+        base = m12(w1, w2, field, dot, psi1=u, psi2=u)
+        swap = m12(w2, w1, field, dot, psi1=u, psi2=u)
         worst_m = max(worst_m, _rel(base, swap))
 
         volume = rng.uniform(1e-20, 1e-18)
         photons = rng.uniform(0.0, 50.0)
-        ch1 = PhotonChannel(w1, volume, photons, psi_gk=u, psi_ke=u)
-        ch2 = PhotonChannel(w2, volume, photons, psi_gk=u, psi_ke=u)
+        ch1 = PhotonChannel(w1, volume, photons, psi=u)
+        ch2 = PhotonChannel(w2, volume, photons, psi=u)
         worst_rabi = max(worst_rabi, _rel(
             effective_rabi(ch1, ch2, field, dot, direction="emission"),
             effective_rabi(ch2, ch1, field, dot, direction="emission")))

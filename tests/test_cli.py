@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import twophoton
 from twophoton.cli import main
 from twophoton.scenario import parse_json_text, reproduce_fig3a, result_to_csv_text
 
@@ -131,10 +134,13 @@ def test_unknown_preset_exits_2(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same package this process does, installed or not
+    src = str(Path(twophoton.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     result = subprocess.run(
         [sys.executable, "-m", "twophoton.cli", "enhancement",
          "--q1", "100", "--q2", "100",
          "--v1-cubic-wavelengths", "1", "--v2-cubic-wavelengths", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0
     assert "F1F2" in result.stdout

@@ -143,6 +143,8 @@ REJECTIONS = [
     (("modes", 0, "surprise"), 1.0, "unknown key 'surprise' in modes[0]"),
     (("drives", 0, "power_uw"), -1.0, "drives[0].power_uw"),
     (("drives", 1, "spot_area_um2"), 0.0, "drives[1].spot_area_um2"),
+    (("drives", 0, "spot_area_um2"), _DELETE, "drives[0].spot_area_um2"),
+    (("drives", 1, "spot_area_um2"), _DELETE, "drives[1].spot_area_um2"),
     (("drives", 2, "coupling"), 2.0, "drives[2].coupling"),
     (("drives", 0, "wavelength_nm"), _DELETE, "exactly one of wavelength_nm"),
     (("drives", 0, "oops"), 1.0, "unknown key 'oops' in drives[0]"),
@@ -265,6 +267,17 @@ def test_sweep_error_names_grid_point():
     assert "grid point 0" in str(err.value)
     assert "field_V_per_um = 0.5" in str(err.value)
     assert err.value.index == 0
+
+
+def test_omega2_sweep_needs_no_spot_area():
+    # only the field sweep's G1*G2 column uses the bulk beams
+    cfg = preset_config("paper-fig3")
+    for drive in cfg["drives"]:
+        del drive["spot_area_um2"]
+    center = cfg["modes"][1]["omega_rad_per_s"]
+    cfg["sweep"] = {"variable": "omega2", "min": center - 1e11,
+                    "max": center + 1e11, "points": 3}
+    assert len(run_sweep(config_from_dict(cfg)).rows) == 3
 
 
 def test_omega2_sweep_rows():

@@ -2,12 +2,19 @@
 moment M12. Frozen numbers were computed independently from the closed
 forms before being pinned here."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from twophoton.quantities import AngularFrequency, QE
+from twophoton.rates import (
+    PhotonChannel,
+    effective_rabi,
+    tpse_spectral_density_cavity,
+    tpste_rate,
+)
 from twophoton.stark import (
     ABSORPTION,
     EMISSION,
@@ -182,15 +189,35 @@ def test_m12_exchange_symmetric(dot, experiment):
     assert m12(w1, w2, field, dot) == m12(w2, w1, field, dot)
 
 
-def test_m12_psi_factors_scale_terms(dot, experiment):
-    # uniform psi multiplies M12 by psi^2
+@pytest.mark.parametrize("psi1,psi2", [(0.5, 0.5), (0.3, 0.8)])
+def test_m12_psi_factors_scale_terms(dot, experiment, psi1, psi2):
+    # one overlap per photon: M12 and Omega_eff scale by psi1 psi2, the
+    # emission rates (two legs squared) by (psi1 psi2)^2
     field = LateralField(0.5 * V_PER_UM)
     w1 = experiment.mode1.omega_c
     w2 = experiment.mode2.omega_c
     base = m12(w1, w2, field, dot)
-    scaled = m12(w1, w2, field, dot, psi_gk1=0.5, psi_ke1=0.5,
-                 psi_gk2=0.5, psi_ke2=0.5)
-    assert scaled == pytest.approx(0.25 * base, rel=1e-14)
+    scaled = m12(w1, w2, field, dot, psi1=psi1, psi2=psi2)
+    assert scaled == pytest.approx(psi1 * psi2 * base, rel=1e-14)
+
+    volume = experiment.mode1.volume
+    ch1, ch2 = PhotonChannel(w1, volume, 3.0), PhotonChannel(w2, volume, 5.0)
+    ch1_psi = PhotonChannel(w1, volume, 3.0, psi=psi1)
+    ch2_psi = PhotonChannel(w2, volume, 5.0, psi=psi2)
+    for direction in (ABSORPTION, EMISSION):
+        assert effective_rabi(ch1_psi, ch2_psi, field, dot, direction) == pytest.approx(
+            psi1 * psi2 * effective_rabi(ch1, ch2, field, dot, direction), rel=1e-14)
+
+    mode1 = dataclasses.replace(experiment.mode1, psi=psi1)
+    mode2 = dataclasses.replace(experiment.mode2, psi=psi2)
+    omega2 = experiment.drive2.omega
+    assert tpse_spectral_density_cavity(omega2, dot, field, mode1, mode2) == \
+        pytest.approx((psi1 * psi2) ** 2 * tpse_spectral_density_cavity(
+            omega2, dot, field, experiment.mode1, experiment.mode2), rel=1e-14)
+    stim = experiment.stim_drive2
+    assert tpste_rate(dot, field, mode1, mode2, stim) == pytest.approx(
+        (psi1 * psi2) ** 2 * tpste_rate(dot, field, experiment.mode1,
+                                        experiment.mode2, stim), rel=1e-14)
 
 
 def test_m12_custom_states(dot, experiment):
