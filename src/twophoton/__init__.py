@@ -77,7 +77,6 @@ from .stark import (
     LateralField,
     QuantumDotModel,
     SingularDetuningError,
-    StateDetunings,
     default_intermediate_states,
     dipole_product_sp,
     dipole_product_sp_field_derivative,

@@ -102,15 +102,16 @@ def _entry_omega(entry: dict) -> AngularFrequency:
 
 
 def _build_mode(entry: dict, host: BulkHost) -> CavityMode:
-    omega = _entry_omega(entry)
-    if "volume_m3" in entry:
-        return CavityMode(omega_c=omega, quality=entry["quality"],
-                          volume=entry["volume_m3"], eta=entry.get("eta", 1.0),
-                          psi=entry.get("psi", 1.0))
-    return mode_at_wavelength(
-        angular_frequency_to_wavelength(omega), host, entry["quality"],
-        eta=entry.get("eta", 1.0), psi=entry.get("psi", 1.0),
-        volume_cubic_wavelengths=entry["volume_cubic_wavelengths"])
+    omega, volume = _entry_omega(entry), entry.get("volume_m3")
+    if volume is None:
+        # centre and volume as mode_at_wavelength sets them
+        sized = mode_at_wavelength(
+            angular_frequency_to_wavelength(omega), host, entry["quality"],
+            volume_cubic_wavelengths=entry["volume_cubic_wavelengths"])
+        omega, volume = sized.omega_c, sized.volume
+    overlaps = {key: entry[key] for key in ("eta", "psi") if key in entry}
+    return CavityMode(omega_c=omega, quality=entry["quality"], volume=volume,
+                      **overlaps)
 
 
 def _build_drive(entry: dict) -> DriveField:

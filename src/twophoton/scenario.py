@@ -32,15 +32,19 @@ be overridden, list entries merging element-wise by position):
       max: 2.0
       points: 200
       log: false                        # optional log spacing (needs min > 0)
-      field_v_per_um: 0.75              # omega2 sweeps only: field to hold
+      # field_v_per_um: 0.75            # omega2 sweeps only: field to hold
     linewidth:                          # optional; no sweep output reads it
-      gamma_d_rad_per_s: 1.0e9
+      gamma_d_rad_per_s: 1.0e+9
     output:                             # optional; CLI flags take precedence
       path: sweep.csv
       format: csv                       # or json
 
+PyYAML reads YAML 1.1: `1.0e+9` is a float, but `1.0e9` is a string. The
+checks follow the key table _SCHEMA below, in its order.
+
 Field sweeps evaluate the full rate report per grid point, and need a
-spot area on drives 0 and 1 for the G1*G2 column; omega2 sweeps
+spot area on drives 0 and 1 for the G1*G2 column and drives 1 and 2 below
+the dot transition (they set the emitted photon 2); omega2 sweeps
 emit relative emitted-power spectra (cavity and bulk, normalized to the
 bulk peak inside the window). Grid points are mutually independent, so they
 may be evaluated concurrently; rows always come out in grid order. Output
@@ -173,161 +177,194 @@ class SweepResult:
 # --- validation -------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _Number:
+    """Rule for one numeric config key."""
+
+    min: float | None = None
+    exclusive: bool = False      # the value must exceed min, not just reach it
+    max: float | None = None
+    integer: bool = False
+    required: bool = True
+
+
+_POSITIVE = _Number(min=0.0, exclusive=True)
+_FRACTION = _Number(min=0.0, max=1.0, required=False)
+_FREQUENCY = ("wavelength_nm", "omega_rad_per_s")
+_VOLUME = ("volume_cubic_wavelengths", "volume_m3")
+
+# The config schema: each section's keys, in check order, with the rule for
+# each numeric key. A tuple of keys is a one-of group (exactly one of them
+# must be present); None marks a key that _check_sweep or _check_output
+# checks, together with the rules that tie keys to each other.
+_SCHEMA = {
+    "dot": {"wavelength_nm": _POSITIVE, "electron_mass_ratio": _POSITIVE,
+            "hole_mass_ratio": _POSITIVE, "electron_confinement_mev": _POSITIVE,
+            "hole_confinement_mev": _POSITIVE, "r_cv_nm": _POSITIVE,
+            "refractive_index": _Number(min=1.0)},
+    "modes": {_FREQUENCY: _POSITIVE, "quality": _POSITIVE, _VOLUME: _POSITIVE,
+              "eta": _FRACTION, "psi": _FRACTION},
+    "drives": {_FREQUENCY: _POSITIVE, "power_uw": _Number(min=0.0),
+               "spot_area_um2": _Number(min=0.0, exclusive=True, required=False),
+               "coupling": _FRACTION},
+    "sweep": {"variable": None, "min": _Number(min=0.0), "max": _Number(),
+              "points": _Number(min=2, max=MAX_SWEEP_POINTS, integer=True),
+              "log": None, "field_v_per_um": _Number(min=0.0, required=False)},
+    "linewidth": {"gamma_d_rad_per_s": _POSITIVE},
+    "output": {"path": None, "format": None},
+}
+# each section's key names, one-of groups flattened
+_KEYS = {name: {key for group in rules
+                for key in (group if isinstance(group, tuple) else (group,))}
+         for name, rules in _SCHEMA.items()}
+# list sections: fewest and most entries, and what the entries are
+_LISTS = {"modes": (2, 3, "2 or 3 cavity modes"),
+          "drives": (3, 3, "exactly 3 entries (photon-1, photon-2, stimulation)")}
+_OPTIONAL = ("linewidth", "output")
+
+
 def _require_mapping(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{path} must be a mapping, got {type(value).__name__}")
     return value
 
 
-def _reject_unknown(entry: dict, allowed: set[str], path: str) -> None:
+def _check_keys(entry, path: str, known) -> None:
+    _require_mapping(entry, path)
     for key in entry:
-        if key not in allowed:
+        if key not in known:
             raise ConfigError(f"unknown key {key!r} in {path}")
 
 
-def _number(entry: dict, key: str, path: str, *, required: bool = True,
-            minimum: float | None = None, exclusive: bool = False,
-            maximum: float | None = None, integer: bool = False):
+def _number(entry: dict, key: str, path: str, rule: _Number):
     if key not in entry:
-        if required:
+        if rule.required:
             raise ConfigError(f"{path}.{key} is required")
         return None
     value = entry[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}.{key} must be a number, got {value!r}")
-    if integer and int(value) != value:
-        raise ConfigError(f"{path}.{key} must be an integer, got {value!r}")
     if not math.isfinite(value):
         raise ConfigError(f"{path}.{key} must be finite, got {value!r}")
-    if minimum is not None:
-        if exclusive and not value > minimum:
-            raise ConfigError(f"{path}.{key} must be > {minimum}, got {value!r}")
-        if not exclusive and not value >= minimum:
-            raise ConfigError(f"{path}.{key} must be >= {minimum}, got {value!r}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"{path}.{key} must be <= {maximum}, got {value!r}")
+    if rule.integer and int(value) != value:
+        raise ConfigError(f"{path}.{key} must be an integer, got {value!r}")
+    if rule.min is not None:
+        op = ">" if rule.exclusive else ">="
+        if not (value > rule.min if rule.exclusive else value >= rule.min):
+            raise ConfigError(f"{path}.{key} must be {op} {rule.min}, got {value!r}")
+    if rule.max is not None and value > rule.max:
+        raise ConfigError(f"{path}.{key} must be <= {rule.max}, got {value!r}")
     return value
 
 
-def _one_frequency_key(entry: dict, path: str) -> None:
-    present = [k for k in ("wavelength_nm", "omega_rad_per_s") if k in entry]
-    if len(present) != 1:
-        raise ConfigError(f"{path} needs exactly one of wavelength_nm or "
-                          f"omega_rad_per_s, got {present or 'neither'}")
-    _number(entry, present[0], path, minimum=0.0, exclusive=True)
+def _check_numbers(entry: dict, path: str, rules: dict) -> None:
+    for key, rule in rules.items():
+        if isinstance(key, tuple):
+            present = [k for k in key if k in entry]
+            if len(present) != 1:
+                raise ConfigError(f"{path} needs exactly one of {key[0]} or "
+                                  f"{key[1]}, got {present or 'neither'}")
+            key = present[0]
+        if rule is not None:
+            _number(entry, key, path, rule)
 
 
-def _validate_dot(entry: dict) -> None:
-    _require_mapping(entry, "dot")
-    keys = {"wavelength_nm", "electron_mass_ratio", "hole_mass_ratio",
-            "electron_confinement_mev", "hole_confinement_mev", "r_cv_nm",
-            "refractive_index"}
-    _reject_unknown(entry, keys, "dot")
-    for key in keys - {"refractive_index"}:
-        _number(entry, key, "dot", minimum=0.0, exclusive=True)
-    _number(entry, "refractive_index", "dot", minimum=1.0)
+def _entries(config: dict, name: str) -> list[tuple[str, object]]:
+    """(path, value) of each mapping in one section: one per entry of a
+    list section, none for a missing optional one."""
+    if name not in config:
+        if name in _OPTIONAL:
+            return []
+        raise ConfigError(f"{name} is required")
+    value = config[name]
+    if name not in _LISTS:
+        return [(name, value)]
+    fewest, most, what = _LISTS[name]
+    if not isinstance(value, list) or not fewest <= len(value) <= most:
+        got = len(value) if isinstance(value, list) else type(value).__name__
+        raise ConfigError(f"{name} must list {what}, got {got}")
+    return [(f"{name}[{i}]", entry) for i, entry in enumerate(value)]
 
 
-def _validate_mode(entry: dict, path: str) -> None:
-    _require_mapping(entry, path)
-    _reject_unknown(entry, {"wavelength_nm", "omega_rad_per_s", "quality",
-                            "volume_cubic_wavelengths", "volume_m3", "eta",
-                            "psi"}, path)
-    _one_frequency_key(entry, path)
-    _number(entry, "quality", path, minimum=0.0, exclusive=True)
-    volume_keys = [k for k in ("volume_cubic_wavelengths", "volume_m3") if k in entry]
-    if len(volume_keys) != 1:
-        raise ConfigError(f"{path} needs exactly one of volume_cubic_wavelengths "
-                          f"or volume_m3, got {volume_keys or 'neither'}")
-    _number(entry, volume_keys[0], path, minimum=0.0, exclusive=True)
-    _number(entry, "eta", path, required=False, minimum=0.0, maximum=1.0)
-    _number(entry, "psi", path, required=False, minimum=0.0, maximum=1.0)
-
-
-def _validate_drive(entry: dict, path: str) -> None:
-    _require_mapping(entry, path)
-    _reject_unknown(entry, {"wavelength_nm", "omega_rad_per_s", "power_uw",
-                            "spot_area_um2", "coupling"}, path)
-    _one_frequency_key(entry, path)
-    _number(entry, "power_uw", path, minimum=0.0)
-    _number(entry, "spot_area_um2", path, required=False, minimum=0.0,
-            exclusive=True)
-    _number(entry, "coupling", path, required=False, minimum=0.0, maximum=1.0)
-
-
-def _validate_sweep(entry: dict) -> None:
-    _require_mapping(entry, "sweep")
-    _reject_unknown(entry, {"variable", "min", "max", "points", "log",
-                            "field_v_per_um"}, "sweep")
-    variable = entry.get("variable")
+def _check_sweep(sweep: dict, drives: list) -> dict:
+    """sweep's keys and the rules that tie them to each other and to the
+    drives; returns the sweep fields of ScenarioConfig."""
+    rules = _SCHEMA["sweep"]
+    variable = sweep.get("variable")
     if variable not in ("field", "omega2"):
         raise ConfigError(f"sweep.variable must be 'field' or 'omega2', "
                           f"got {variable!r}")
     # omega2 is a photon frequency, so strictly positive
-    low = _number(entry, "min", "sweep", minimum=0.0,
-                  exclusive=variable == "omega2")
-    high = _number(entry, "max", "sweep")
+    low = _number(sweep, "min", "sweep",
+                  _POSITIVE if variable == "omega2" else rules["min"])
+    high = _number(sweep, "max", "sweep", rules["max"])
     if not low < high:
         raise ConfigError(f"sweep.min must be < sweep.max, got {low!r} and {high!r}")
-    _number(entry, "points", "sweep", minimum=2, maximum=MAX_SWEEP_POINTS,
-            integer=True)
-    log = entry.get("log", False)
+    points = _number(sweep, "points", "sweep", rules["points"])
+    log = sweep.get("log", False)
     if not isinstance(log, bool):
         raise ConfigError(f"sweep.log must be a boolean, got {log!r}")
     if log and not low > 0.0:
         raise ConfigError(f"sweep.min must be > 0 for log spacing, got {low!r}")
-    if variable == "field" and "field_v_per_um" in entry:
-        raise ConfigError("sweep.field_v_per_um only applies to omega2 sweeps")
     if variable == "omega2":
-        _number(entry, "field_v_per_um", "sweep", required=False, minimum=0.0)
-
-
-def _validate(config: dict) -> None:
-    _reject_unknown(config, {"dot", "modes", "drives", "sweep", "linewidth",
-                             "output"}, "config")
-    if "dot" not in config:
-        raise ConfigError("dot is required")
-    _validate_dot(config["dot"])
-
-    modes = config.get("modes")
-    if not isinstance(modes, list) or not 2 <= len(modes) <= 3:
-        raise ConfigError(f"modes must list 2 or 3 cavity modes, "
-                          f"got {modes if modes is None else len(modes)}")
-    for i, entry in enumerate(modes):
-        _validate_mode(entry, f"modes[{i}]")
-
-    drives = config.get("drives")
-    if not isinstance(drives, list) or len(drives) != 3:
-        raise ConfigError(f"drives must list exactly 3 entries "
-                          f"(photon-1, photon-2, stimulation), "
-                          f"got {drives if drives is None else len(drives)}")
-    for i, entry in enumerate(drives):
-        _validate_drive(entry, f"drives[{i}]")
-
-    if "sweep" not in config:
-        raise ConfigError("sweep is required")
-    _validate_sweep(config["sweep"])
-    if config["sweep"]["variable"] == "field":
+        hold = _number(sweep, "field_v_per_um", "sweep", rules["field_v_per_um"])
+        if hold is None:
+            hold = DEFAULT_FIG3B_FIELD_V_PER_UM
+    elif "field_v_per_um" in sweep:
+        raise ConfigError("sweep.field_v_per_um only applies to omega2 sweeps")
+    else:
+        hold = None
         # the G1*G2 column compares each TPA drive with its focused bulk beam
         for i in (0, 1):
             if "spot_area_um2" not in drives[i]:
                 raise ConfigError(f"drives[{i}].spot_area_um2 is required by field "
                                   f"sweeps (the G1*G2 column)")
+    return {"sweep_variable": variable, "sweep_min": float(low),
+            "sweep_max": float(high), "sweep_points": int(points),
+            "sweep_log": log, "sweep_field_v_per_um": hold}
 
-    if "linewidth" in config:
-        lw = _require_mapping(config["linewidth"], "linewidth")
-        _reject_unknown(lw, {"gamma_d_rad_per_s"}, "linewidth")
-        _number(lw, "gamma_d_rad_per_s", "linewidth", minimum=0.0, exclusive=True)
 
-    if "output" in config:
-        out = _require_mapping(config["output"], "output")
-        _reject_unknown(out, {"path", "format"}, "output")
-        if "path" in out and (not isinstance(out["path"], str) or not out["path"]):
-            raise ConfigError(f"output.path must be a non-empty string, "
-                              f"got {out['path']!r}")
-        fmt = out.get("format", "csv")
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"output.format must be 'csv' or 'json', got {fmt!r}")
+def _check_output(out: dict) -> dict:
+    """output's keys; returns the output fields of ScenarioConfig."""
+    path = out.get("path")
+    if "path" in out and (not isinstance(path, str) or not path):
+        raise ConfigError(f"output.path must be a non-empty string, got {path!r}")
+    fmt = out.get("format", "csv")
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"output.format must be 'csv' or 'json', got {fmt!r}")
+    return {"output_path": path, "output_format": fmt}
+
+
+def _validate(config: dict) -> dict:
+    """Check a resolved config against _SCHEMA, section by section and key
+    by key in table order, so the first error is the first bad key a reader
+    meets. Returns the sweep and output fields of ScenarioConfig."""
+    _check_keys(config, "config", _SCHEMA)
+    for name, rules in _SCHEMA.items():
+        for path, entry in _entries(config, name):
+            _check_keys(entry, path, _KEYS[name])
+            if name == "sweep":   # its numbers interleave with its cross-key rules
+                settings = _check_sweep(entry, config["drives"])
+            else:
+                _check_numbers(entry, path, rules)
+    return settings | _check_output(config.get("output", {}))
+
+
+def _check_dot_line(config: dict, experiment: Experiment, variable: str) -> None:
+    """Emitted photons lie below the dot transition: each omega2 grid point,
+    and photon 2 of a field sweep (drives 1 and 2)."""
+    omega_d = experiment.dot.omega_d.rad_per_s
+    if variable == "omega2":
+        if config["sweep"]["max"] >= omega_d:
+            raise ConfigError(f"sweep.max must stay below the dot transition "
+                              f"({omega_d:.6e} rad/s), got {config['sweep']['max']!r}")
+        return
+    for i, drive in ((1, experiment.drive2), (2, experiment.stim_drive2)):
+        if drive.omega.rad_per_s >= omega_d:
+            key = next(k for k in _FREQUENCY if k in config["drives"][i])
+            raise ConfigError(f"drives[{i}].{key} must put photon 2 below the dot "
+                              f"transition ({omega_d:.6e} rad/s) on field sweeps, "
+                              f"got {config['drives'][i][key]!r}")
 
 
 def _deep_merge(base, override):
@@ -362,35 +399,11 @@ def config_from_dict(data: dict, default_preset: str | None = None) -> ScenarioC
         resolved = _deep_merge(preset_config(preset), data)
     else:
         resolved = data
-    _validate(resolved)
+    settings = _validate(resolved)
     experiment = build_experiment(resolved)
-
-    sweep = resolved["sweep"]
-    variable = sweep["variable"]
-    if variable == "omega2":
-        omega_d = experiment.dot.omega_d.rad_per_s
-        if sweep["max"] >= omega_d:
-            raise ConfigError(
-                f"sweep.max must stay below the dot transition "
-                f"({omega_d:.6e} rad/s), got {sweep['max']!r}")
-        hold = sweep.get("field_v_per_um", DEFAULT_FIG3B_FIELD_V_PER_UM)
-    else:
-        hold = None
-
-    out = resolved.get("output", {})
-    return ScenarioConfig(
-        resolved=resolved,
-        experiment=experiment,
-        sweep_variable=variable,
-        sweep_min=float(sweep["min"]),
-        sweep_max=float(sweep["max"]),
-        sweep_points=int(sweep["points"]),
-        sweep_log=bool(sweep.get("log", False)),
-        sweep_field_v_per_um=hold,
-        output_path=out.get("path"),
-        output_format=out.get("format", "csv"),
-        config_hash=_canonical_hash(resolved),
-    )
+    _check_dot_line(resolved, experiment, settings["sweep_variable"])
+    return ScenarioConfig(resolved=resolved, experiment=experiment,
+                          config_hash=_canonical_hash(resolved), **settings)
 
 
 def load_config(source: str | Path,

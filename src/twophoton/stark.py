@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "LateralField",
     "QuantumDotModel",
     "SingularDetuningError",
-    "StateDetunings",
     "default_intermediate_states",
     "dipole_product_sp",
     "dipole_product_sp_field_derivative",
@@ -193,15 +192,6 @@ def state_dipole_pair(field: LateralField, model: QuantumDotModel) -> tuple[floa
     return d_gk, d_ke
 
 
-class StateDetunings(NamedTuple):
-    """Term denominators for one intermediate state: the photon-1-first and
-    photon-2-first orderings of the second-order amplitude."""
-
-    state: IntermediateState
-    photon1_first: float    # rad/s
-    photon2_first: float    # rad/s
-
-
 def _term_denominators(state: IntermediateState, omega_d, omega1, omega2,
                        direction: str, min_detuning: float):
     """(photon-1-first, photon-2-first) denominators of one intermediate
@@ -230,17 +220,17 @@ def intermediate_detunings(omega1: AngularFrequency, omega2: AngularFrequency,
                            states: Sequence[IntermediateState] | None = None,
                            direction: str = ABSORPTION,
                            min_detuning: float = DEFAULT_MIN_DETUNING,
-                           ) -> list[StateDetunings]:
-    """Denominators of both photon orderings for every intermediate state.
+                           ) -> list[tuple[float, float]]:
+    """(photon-1-first, photon-2-first) term denominators, rad/s, for every
+    intermediate state, in the order of states.
 
     Raises SingularDetuningError when any denominator magnitude falls below
     min_detuning (rad/s).
     """
     if states is None:
         states = default_intermediate_states(model)
-    return [StateDetunings(state, *_term_denominators(
-                state, model.omega_d.rad_per_s, omega1.rad_per_s,
-                omega2.rad_per_s, direction, min_detuning))
+    return [_term_denominators(state, model.omega_d.rad_per_s, omega1.rad_per_s,
+                               omega2.rad_per_s, direction, min_detuning)
             for state in states]
 
 

@@ -70,6 +70,18 @@ def test_omega2_sweep_nonpositive_min_exits_2(tmp_path, capsys):
     assert "sweep.min" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override,fragment", [
+    ("drives:\n  - {}\n  - {omega_rad_per_s: 3.0e+15}\n", "drives[1].omega_rad_per_s"),
+    ("dot:\n  wavelength_nm: 2400.0\n", "drives[1].omega_rad_per_s"),
+    ("modes: 3\n", "modes must list"),
+], ids=["drive-past-dot-line", "dot-line-below-drives", "modes-not-a-list"])
+def test_config_error_exits_2(tmp_path, capsys, override, fragment):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text("preset: paper-fig3\n" + override)
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert fragment in capsys.readouterr().err
+
+
 def test_sweep_runtime_error_exits_1(tmp_path, capsys):
     # drive 1 on the conduction-p resonance: singular at the first grid point
     import yaml

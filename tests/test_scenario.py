@@ -3,12 +3,15 @@ deterministic serialization."""
 
 import copy
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from twophoton.presets import preset_config
 from twophoton.scenario import (
+    _KEYS,
     MAX_SWEEP_POINTS,
     ConfigError,
     OutputError,
@@ -155,10 +158,18 @@ REJECTIONS = [
     (("sweep", "points"), 1, "sweep.points"),
     (("sweep", "points"), 2.5, "sweep.points"),
     (("sweep", "points"), MAX_SWEEP_POINTS + 1, "sweep.points"),
+    (("sweep", "points"), math.inf, "sweep.points must be finite"),
     (("sweep", "log"), "yes", "sweep.log"),
     (("sweep", "field_v_per_um"), 0.75, "field_v_per_um"),
     (("sweep", "stride"), 3, "unknown key 'stride' in sweep"),
     (("bogus",), 1.0, "unknown key 'bogus' in config"),
+    (("modes",), 3, "modes must list 2 or 3 cavity modes, got int"),
+    (("drives",), 3, "drives must list exactly 3 entries"),
+    # a field sweep emits drives 1 and 2 as photon 2, below the dot line
+    (("drives", 1, "omega_rad_per_s"), 3.0e15,
+     "drives[1].omega_rad_per_s must put photon 2 below the dot transition"),
+    (("drives", 2, "omega_rad_per_s"), 3.0e15, "drives[2].omega_rad_per_s"),
+    (("dot", "wavelength_nm"), 2400.0, "drives[1].omega_rad_per_s"),
 ]
 
 
@@ -202,6 +213,36 @@ def test_validation_rejects_wrong_counts():
                                     "max": 1.0, "points": 2}})
 
 
+WRONG_TYPES = [3, "three", [3], None]
+
+
+@pytest.mark.parametrize("path_keys,path", [
+    (("dot",), "dot"), (("modes",), "modes"), (("modes", 0), "modes[0]"),
+    (("drives",), "drives"), (("drives", 2), "drives[2]"), (("sweep",), "sweep"),
+    (("linewidth",), "linewidth"), (("output",), "output")])
+@pytest.mark.parametrize("value", WRONG_TYPES, ids=repr)
+def test_wrong_type_names_its_path(path_keys, path, value):
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(_mutated(path_keys, value))
+    assert str(err.value).startswith(path + " ")
+
+
+def test_field_sweep_drive_past_dot_line_names_its_wavelength():
+    cfg = preset_config("paper-fig3")
+    cfg["drives"][1] = {"wavelength_nm": 800.0, "power_uw": 12.0, "spot_area_um2": 1.0}
+    with pytest.raises(ConfigError, match=re.escape("drives[1].wavelength_nm")):
+        config_from_dict(cfg)
+
+
+def test_omega2_sweep_ignores_drives_past_dot_line():
+    cfg = preset_config("paper-fig3")
+    center = cfg["modes"][1]["omega_rad_per_s"]
+    cfg["drives"][2]["omega_rad_per_s"] = 3.0e15
+    cfg["sweep"] = {"variable": "omega2", "min": center - 1e11,
+                    "max": center + 1e11, "points": 3}
+    assert config_from_dict(cfg).sweep_variable == "omega2"
+
+
 def test_omega2_sweep_range_checked_against_dot_line():
     cfg = preset_config("paper-fig3")
     cfg["sweep"] = {"variable": "omega2", "min": 1e14, "max": 3e15, "points": 3}
@@ -225,6 +266,31 @@ def test_log_spacing_needs_positive_min():
     cfg["sweep"]["min"] = 0.1
     grid_cfg = config_from_dict(cfg)
     assert grid_cfg.sweep_log is True
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_schema_block() -> str:
+    section = README.read_text().split("\n## Config schema\n", 1)[1]
+    return section.split("```yaml\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_schema_block_loads_and_names_every_key():
+    block = _readme_schema_block()
+    load_config(block)
+    # keys a line sets, keys shown commented out (`# key: value`), and the
+    # other member of a one-of group (`# or key (exactly one)`)
+    documented = {}
+    for line in block.splitlines():
+        top = re.match(r"(\w+):", line)
+        if top:
+            section = documented.setdefault(top.group(1), set())
+            continue
+        section.update(re.findall(r"^\s*(?:- )?(?:# )?(\w+):", line))
+        section.update(re.findall(r"# or (\w+) \(exactly one\)", line))
+    documented.pop("preset")
+    assert documented == _KEYS
 
 
 # --- sweep execution --------------------------------------------------------
