@@ -1,4 +1,4 @@
-"""Cavity mode and bulk host descriptions, mode densities, Purcell factor.
+"""Cavity mode and bulk host descriptions, Lorentzian mismatch, Purcell factor.
 
 The frequency mismatch profile used throughout is
 
@@ -19,8 +19,6 @@ from .quantities import AngularFrequency, Wavelength, wavelength_to_angular_freq
 __all__ = [
     "BulkHost",
     "CavityMode",
-    "bulk_mode_density",
-    "cavity_mode_density_times_omega",
     "lorentzian_mismatch",
     "mode_at_wavelength",
     "purcell_factor",
@@ -83,20 +81,6 @@ def _mismatch_raw(omega, mode: CavityMode):
 def lorentzian_mismatch(omega: AngularFrequency, mode: CavityMode) -> float:
     """phi(omega) = (omega/omega_c) / (1 + 4 Q^2 (omega/omega_c - 1)^2)."""
     return _mismatch_raw(omega.rad_per_s, mode)
-
-
-def bulk_mode_density(omega: AngularFrequency, host: BulkHost, volume: float) -> float:
-    """Free-photon mode density rho(omega) = V n^3 omega^2 / (3 pi^2 c^3),
-    per unit angular frequency, in a host of index n and quantization volume V."""
-    if not (volume > 0.0):
-        raise ValueError(f"quantization volume must be positive, got {volume!r}")
-    from .quantities import C
-    return volume * host.n**3 * omega.rad_per_s**2 / (3.0 * math.pi**2 * C**3)
-
-
-def cavity_mode_density_times_omega(omega: AngularFrequency, mode: CavityMode) -> float:
-    """omega * rho(omega) for a single cavity mode: 2 Q phi(omega) / pi."""
-    return 2.0 * mode.quality * lorentzian_mismatch(omega, mode) / math.pi
 
 
 def purcell_factor(wavelength: Wavelength, host: BulkHost, mode: CavityMode,

@@ -23,6 +23,7 @@ from .cavity import purcell_factor
 from .quantities import angular_frequency_to_wavelength
 from .rates import QuadratureError, _tpa_enhancement
 from .scenario import (
+    OUTPUT_FORMATS,
     ConfigError,
     OutputError,
     SweepError,
@@ -30,8 +31,6 @@ from .scenario import (
     load_config,
     reproduce_fig3a,
     reproduce_fig3b,
-    result_to_csv_text,
-    result_to_json_text,
     run_sweep,
     write_output,
 )
@@ -42,11 +41,8 @@ __all__ = ["main"]
 def _emit(result, fmt: str, path: str | None) -> None:
     if path is not None:
         write_output(result, fmt, path)
-        return
-    if fmt == "csv":
-        sys.stdout.write(result_to_csv_text(result))
     else:
-        sys.stdout.write(result_to_json_text(result))
+        sys.stdout.write(OUTPUT_FORMATS[fmt](result))
 
 
 def _cmd_sweep(args) -> int:
@@ -104,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run the sweep described by a config file")
     p_sweep.add_argument("--config", required=True, help="YAML config path")
     p_sweep.add_argument("--output", help="output path (default: stdout or config)")
-    p_sweep.add_argument("--format", choices=("csv", "json"),
+    p_sweep.add_argument("--format", choices=tuple(OUTPUT_FORMATS),
                          help="output format (default: config or csv)")
     add_common(p_sweep)
     p_sweep.set_defaults(handler=_cmd_sweep)

@@ -124,23 +124,38 @@ def _build_drive(entry: dict) -> DriveField:
     )
 
 
-def build_experiment(config: dict) -> Experiment:
-    """Typed Experiment from a fully validated, fully resolved config dict."""
-    dot_cfg = config["dot"]
-    host = BulkHost(dot_cfg["refractive_index"])
-    dot = QuantumDotModel(
+def _build_dot(entry: dict) -> QuantumDotModel:
+    return QuantumDotModel(
         omega_d=wavelength_to_angular_frequency(
-            Wavelength(dot_cfg["wavelength_nm"] * 1e-9)),
-        m_e_star=dot_cfg["electron_mass_ratio"] * M0,
-        m_h_star=dot_cfg["hole_mass_ratio"] * M0,
-        omega_e=energy_to_angular_frequency(
-            dot_cfg["electron_confinement_mev"] * 1e-3),
-        omega_h=energy_to_angular_frequency(dot_cfg["hole_confinement_mev"] * 1e-3),
-        r_cv=dot_cfg["r_cv_nm"] * 1e-9,
-        host=host,
+            Wavelength(entry["wavelength_nm"] * 1e-9)),
+        m_e_star=entry["electron_mass_ratio"] * M0,
+        m_h_star=entry["hole_mass_ratio"] * M0,
+        omega_e=energy_to_angular_frequency(entry["electron_confinement_mev"] * 1e-3),
+        omega_h=energy_to_angular_frequency(entry["hole_confinement_mev"] * 1e-3),
+        r_cv=entry["r_cv_nm"] * 1e-9,
+        host=BulkHost(entry["refractive_index"]),
     )
-    modes = [_build_mode(entry, host) for entry in config["modes"]]
-    drives = [_build_drive(entry) for entry in config["drives"]]
+
+
+def _built(path: str, build, *args):
+    """build(*args), naming the config entry `path` in a ValueError it
+    raises: a value the config checks pass can still under- or overflow
+    on its way to SI units."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def build_experiment(config: dict) -> Experiment:
+    """Typed Experiment from a fully validated, fully resolved config dict.
+    Raises ValueError naming the entry (dot, modes[i], drives[i]) that
+    cannot be built."""
+    dot = _built("dot", _build_dot, config["dot"])
+    modes = [_built(f"modes[{i}]", _build_mode, entry, dot.host)
+             for i, entry in enumerate(config["modes"])]
+    drives = [_built(f"drives[{i}]", _build_drive, entry)
+              for i, entry in enumerate(config["drives"])]
     lw_cfg = config.get("linewidth")
     linewidth = None if lw_cfg is None else Linewidth(lw_cfg["gamma_d_rad_per_s"])
     return Experiment(

@@ -13,45 +13,22 @@ from typing import Final
 
 __all__ = [
     "AngularFrequency",
-    "Constants",
     "DipoleMoment",
     "Wavelength",
-    "CODATA2018",
     "CONSTANTS_VERSION",
     "angular_frequency_to_wavelength",
     "energy_to_angular_frequency",
     "wavelength_to_angular_frequency",
 ]
 
-
-@dataclass(frozen=True)
-class Constants:
-    """Fundamental constants, fixed at import time (CODATA 2018)."""
-
-    hbar: float     # J s
-    eps0: float     # F/m
-    c: float        # m/s
-    e: float        # C
-    m0: float       # kg
-
-
-# h and e are exact in the 2018 revision; hbar carried to full double precision.
-CODATA2018: Final[Constants] = Constants(
-    hbar=6.62607015e-34 / (2.0 * math.pi),
-    eps0=8.8541878128e-12,
-    c=299792458.0,
-    e=1.602176634e-19,
-    m0=9.1093837015e-31,
-)
-
 CONSTANTS_VERSION: Final[str] = "codata2018"
 
-# module-level aliases for formula code
-HBAR: Final[float] = CODATA2018.hbar    # J s
-EPS0: Final[float] = CODATA2018.eps0    # F/m
-C: Final[float] = CODATA2018.c          # m/s
-QE: Final[float] = CODATA2018.e         # C
-M0: Final[float] = CODATA2018.m0        # kg
+# CODATA 2018: h and e are exact; hbar carried to full double precision.
+HBAR: Final[float] = 6.62607015e-34 / (2.0 * math.pi)     # J s
+EPS0: Final[float] = 8.8541878128e-12                    # F/m
+C: Final[float] = 299792458.0                            # m/s
+QE: Final[float] = 1.602176634e-19                       # C
+M0: Final[float] = 9.1093837015e-31                      # kg
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ independent and can run in parallel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -163,9 +163,8 @@ class RateReport:
                 raise ValueError(f"report field {name} must be finite and "
                                  f"nonnegative, got {value!r}")
 
-    _FIELDS = ("field_strength", "omega_eff_over_2pi", "gamma_opse_over_2pi",
-               "gamma_tpste_over_2pi", "tpse_spectral_density",
-               "enhancement_tpse", "enhancement_tpa")
+
+RateReport._FIELDS = tuple(f.name for f in fields(RateReport))
 
 
 @dataclass(frozen=True)
@@ -394,8 +393,6 @@ def tpse_total(model: QuantumDotModel, field: LateralField, environment: str = "
     QuadratureError with the best estimate if the interval cap is hit first."""
     intervals = initial_intervals if initial_intervals is not None \
         else _initial_intervals(model, environment, mode1, mode2)
-    if intervals < 2:
-        raise ValueError(f"grid needs at least 2 intervals, got {intervals!r}")
     previous = tpse_total_fixed(model, field, environment, intervals, mode1, mode2)
     while True:
         intervals *= 2

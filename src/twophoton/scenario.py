@@ -1,60 +1,17 @@
 """Sweep configuration, execution and serialization.
 
-Config files are YAML with this shape (all numbers SI-prefixed as the key
-names say; `preset: paper-fig3` fills every key, after which any subset can
-be overridden, list entries merging element-wise by position):
+Config files are YAML. README.md's `## Config schema` section documents
+every key and the rules that tie keys together; a test loads its YAML block
+and checks its keys against _SCHEMA, the key table the checks below follow
+in its order. `preset: paper-fig3` fills every key, after which any subset
+can be overridden, list entries merging element-wise by position.
 
-    preset: paper-fig3
-    dot:
-      wavelength_nm: 926.0
-      electron_mass_ratio: 0.055        # units of the free-electron mass
-      hole_mass_ratio: 0.11
-      electron_confinement_mev: 12.0
-      hole_confinement_mev: 6.0
-      r_cv_nm: 0.6
-      refractive_index: 3.4
-    modes:                              # 2 required; optional 3rd at the dot line
-      - wavelength_nm: 1550.0           # or omega_rad_per_s (exactly one)
-        quality: 5000.0
-        volume_cubic_wavelengths: 1.0   # or volume_m3 (exactly one)
-        eta: 0.02
-        psi: 1.0
-      - ...
-    drives:                             # exactly 3: photon-1, photon-2, stimulation
-      - wavelength_nm: 1550.0           # or omega_rad_per_s (exactly one)
-        power_uw: 12.0
-        spot_area_um2: 1.0              # field sweeps need it on drives 0 and 1
-        coupling: 0.02                  # optional, overrides the mode's eta
-      - ...
-    sweep:
-      variable: field                   # or omega2
-      min: 0.0                          # V/um for field, rad/s for omega2
-      max: 2.0
-      points: 200
-      log: false                        # optional log spacing (needs min > 0)
-      # field_v_per_um: 0.75            # omega2 sweeps only: field to hold
-    linewidth:                          # optional; no sweep output reads it
-      gamma_d_rad_per_s: 1.0e+9
-    output:                             # optional; CLI flags take precedence
-      path: sweep.csv
-      format: csv                       # or json
-
-PyYAML reads YAML 1.1: `1.0e+9` is a float, but `1.0e9` is a string. The
-checks follow the key table _SCHEMA below, in its order.
-
-Field sweeps evaluate the full rate report per grid point, and need a
-spot area on drives 0 and 1 for the G1*G2 column and drives 1 and 2 below
-the dot transition (they set the emitted photon 2); omega2 sweeps
+Field sweeps evaluate the full rate report per grid point; omega2 sweeps
 emit relative emitted-power spectra (cavity and bulk, normalized to the
 bulk peak inside the window). Grid points are mutually independent, so they
 may be evaluated concurrently; rows always come out in grid order. Output
 is deterministic: the run timestamp lives on the result object only and is
 never serialized.
-
-`linewidth` only sets Experiment.linewidth, the delta-regularization width
-that Experiment.resolved_linewidth hands to the tpa_rate_* functions of the
-Python API (defaulting to the zero-field one-photon rate). No sweep column
-depends on it, so it changes no CSV or JSON byte.
 """
 
 from __future__ import annotations
@@ -63,7 +20,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -79,7 +36,7 @@ from .rates import (
     tpse_spectral_density_bulk,
     tpse_spectral_density_cavity,
 )
-from .stark import LateralField, SingularDetuningError
+from .stark import LateralField
 
 __all__ = [
     "ConfigError",
@@ -139,7 +96,8 @@ class SpectralRow:
                 raise ValueError(f"spectral row field {name} must be finite "
                                  f"and nonnegative, got {value!r}")
 
-    _FIELDS = ("omega2_rad_per_s", "tpse_power_cavity_rel", "tpse_power_bulk_rel")
+
+SpectralRow._FIELDS = tuple(f.name for f in fields(SpectralRow))
 
 
 @dataclass(frozen=True)
@@ -330,8 +288,8 @@ def _check_output(out: dict) -> dict:
     if "path" in out and (not isinstance(path, str) or not path):
         raise ConfigError(f"output.path must be a non-empty string, got {path!r}")
     fmt = out.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"output.format must be 'csv' or 'json', got {fmt!r}")
+    if fmt not in OUTPUT_FORMATS:
+        raise ConfigError(f"output.format must be {_FORMAT_NAMES}, got {fmt!r}")
     return {"output_path": path, "output_format": fmt}
 
 
@@ -400,7 +358,11 @@ def config_from_dict(data: dict, default_preset: str | None = None) -> ScenarioC
     else:
         resolved = data
     settings = _validate(resolved)
-    experiment = build_experiment(resolved)
+    try:
+        experiment = build_experiment(resolved)
+    except ValueError as exc:
+        # an in-range value whose SI conversion under- or overflows
+        raise ConfigError(str(exc)) from exc
     _check_dot_line(resolved, experiment, settings["sweep_variable"])
     return ScenarioConfig(resolved=resolved, experiment=experiment,
                           config_hash=_canonical_hash(resolved), **settings)
@@ -441,7 +403,7 @@ def _run_field_sweep(config: ScenarioConfig) -> tuple:
     for i, e_v_per_um in enumerate(_grid(config)):
         try:
             rows.append(evaluate_point(float(e_v_per_um) * 1e6, config.experiment))
-        except (SingularDetuningError, ValueError) as exc:
+        except (ValueError, ArithmeticError) as exc:
             raise SweepError(i, "field_V_per_um", float(e_v_per_um), str(exc)) from exc
     return tuple(rows)
 
@@ -458,7 +420,7 @@ def _run_omega2_sweep(config: ScenarioConfig) -> tuple:
             cav_density = tpse_spectral_density_cavity(
                 omega2, ex.dot, field, ex.mode1, ex.mode2)
             bulk_density = tpse_spectral_density_bulk(omega2, ex.dot, field)
-        except (SingularDetuningError, ValueError) as exc:
+        except (ValueError, ArithmeticError) as exc:
             raise SweepError(i, "omega2_rad_per_s", float(w2), str(exc)) from exc
         cavity[i] = HBAR * w2 * cav_density        # emitted power density, W s/rad
         bulk[i] = HBAR * w2 * bulk_density
@@ -575,14 +537,17 @@ def parse_json_text(text: str) -> SweepResult:
                        constants_version=data["constants_version"])
 
 
+# output format -> serializer; the one list of formats the config, the CLI
+# and write_output accept
+OUTPUT_FORMATS = {"csv": result_to_csv_text, "json": result_to_json_text}
+_FORMAT_NAMES = " or ".join(map(repr, OUTPUT_FORMATS))
+
+
 def write_output(result: SweepResult, format: str, path: str | Path) -> None:
-    """Serialize to CSV or JSON at `path`."""
-    if format == "csv":
-        text = result_to_csv_text(result)
-    elif format == "json":
-        text = result_to_json_text(result)
-    else:
-        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+    """Serialize to one of OUTPUT_FORMATS at `path`."""
+    if format not in OUTPUT_FORMATS:
+        raise ValueError(f"format must be {_FORMAT_NAMES}, got {format!r}")
+    text = OUTPUT_FORMATS[format](result)
     try:
         Path(path).write_text(text)
     except OSError as exc:

@@ -23,15 +23,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .cavity import BulkHost
 from .quantities import AngularFrequency, DipoleMoment, HBAR, QE
 
 __all__ = [
+    "ABSORPTION",
     "DEFAULT_MIN_DETUNING",
+    "EMISSION",
     "IntermediateState",
     "LateralField",
     "QuantumDotModel",
@@ -45,7 +45,6 @@ __all__ = [
     "m12",
     "oscillator_length",
     "stark_displacement",
-    "state_dipole_pair",
 ]
 
 # Detunings smaller than this (rad/s) are treated as resonant with an
@@ -57,7 +56,7 @@ EMISSION = "emission"
 
 
 class SingularDetuningError(ValueError):
-    """An intermediate-state denominator fell below the configured floor."""
+    """An intermediate-state denominator fell below DEFAULT_MIN_DETUNING."""
 
     def __init__(self, label: str, ordering: str, value: float, floor: float):
         self.label = label
@@ -178,26 +177,12 @@ def dipole_product_sp_field_derivative(field: LateralField,
     return QE**2 * model.r_cv * kappa * g * (1.0 - dx * dx / (2.0 * l_e * l_e))
 
 
-def state_dipole_pair(field: LateralField, model: QuantumDotModel) -> tuple[float, float]:
-    """(|d_gk|, |d_ke|) for a p-shell channel, C m each.
-
-    The interband leg carries the parity-broken envelope overlap,
-    e r_cv (dx/l_e) exp(-dx^2/(4 l_e^2)); the intraband leg is the bare
-    oscillator matrix element e l_e. Their product is dipole_product_sp.
-    """
-    l_e = oscillator_length(model)
-    dx = stark_displacement(field, model)
-    d_gk = QE * model.r_cv * (dx / l_e) * _overlap(field, model)
-    d_ke = QE * l_e
-    return d_gk, d_ke
-
-
 def _term_denominators(state: IntermediateState, omega_d, omega1, omega2,
-                       direction: str, min_detuning: float):
+                       direction: str):
     """(photon-1-first, photon-2-first) denominators of one intermediate
     state; omega_d, omega1 and omega2 are raw rad/s scalars or numpy arrays.
     Raises SingularDetuningError when any magnitude falls below
-    min_detuning (rad/s)."""
+    DEFAULT_MIN_DETUNING."""
     energy = state.energy_above_ground.rad_per_s
     if direction == ABSORPTION:
         d1, d2 = energy - omega1, energy - omega2
@@ -209,44 +194,35 @@ def _term_denominators(state: IntermediateState, omega_d, omega1, omega2,
     for ordering, d in (("photon-1-first", d1), ("photon-2-first", d2)):
         # one reduction: on a scalar about half the cost of np.any(np.abs(d) < floor)
         smallest = np.abs(d).min()
-        if smallest < min_detuning:
+        if smallest < DEFAULT_MIN_DETUNING:
             raise SingularDetuningError(state.label, ordering, float(smallest),
-                                        min_detuning)
+                                        DEFAULT_MIN_DETUNING)
     return d1, d2
 
 
 def intermediate_detunings(omega1: AngularFrequency, omega2: AngularFrequency,
-                           model: QuantumDotModel,
-                           states: Sequence[IntermediateState] | None = None,
-                           direction: str = ABSORPTION,
-                           min_detuning: float = DEFAULT_MIN_DETUNING,
+                           model: QuantumDotModel, direction: str = ABSORPTION,
                            ) -> list[tuple[float, float]]:
-    """(photon-1-first, photon-2-first) term denominators, rad/s, for every
-    intermediate state, in the order of states.
+    """(photon-1-first, photon-2-first) term denominators, rad/s, for each
+    of the model's default intermediate states, in their order.
 
     Raises SingularDetuningError when any denominator magnitude falls below
-    min_detuning (rad/s).
+    DEFAULT_MIN_DETUNING.
     """
-    if states is None:
-        states = default_intermediate_states(model)
     return [_term_denominators(state, model.omega_d.rad_per_s, omega1.rad_per_s,
-                               omega2.rad_per_s, direction, min_detuning)
-            for state in states]
+                               omega2.rad_per_s, direction)
+            for state in default_intermediate_states(model)]
 
 
 def _m12_raw(omega1, omega2, field: LateralField, model: QuantumDotModel,
-             direction: str, states: Sequence[IntermediateState] | None = None,
-             min_detuning: float = DEFAULT_MIN_DETUNING):
+             direction: str):
     """Array-friendly core of m12 at unit mode overlaps; omega1/omega2 are
-    raw rad/s scalars or numpy arrays broadcast against each other. states
-    default to the model's two p-shell channels."""
-    if states is None:
-        states = default_intermediate_states(model)
+    raw rad/s scalars or numpy arrays broadcast against each other."""
     product = dipole_product_sp(field, model)
     total = 0.0
-    for state in states:
+    for state in default_intermediate_states(model):
         d1, d2 = _term_denominators(state, model.omega_d.rad_per_s, omega1, omega2,
-                                    direction, min_detuning)
+                                    direction)
         total = total + product * (1.0 / d1 + 1.0 / d2)
         # free them before the next state's are made: on a quadrature grid
         # each is as large as the grid
@@ -255,20 +231,16 @@ def _m12_raw(omega1, omega2, field: LateralField, model: QuantumDotModel,
 
 
 def m12(omega1: AngularFrequency, omega2: AngularFrequency, field: LateralField,
-        model: QuantumDotModel,
-        states: Sequence[IntermediateState] | None = None,
-        direction: str = ABSORPTION,
-        psi1: float = 1.0, psi2: float = 1.0,
-        min_detuning: float = DEFAULT_MIN_DETUNING) -> float:
+        model: QuantumDotModel, direction: str = ABSORPTION,
+        psi1: float = 1.0, psi2: float = 1.0) -> float:
     """Two-photon transition moment, C^2 m^2 s:
 
         M12 = psi1 psi2 | sum_k d_gk d_ke (1/D1 + 1/D2) |
 
-    with (D1, D2) the per-state term denominators for the chosen direction
-    and psi1, psi2 the overlaps of the dot with the modes of photons 1 and 2.
+    with (D1, D2) the term denominators of each default intermediate
+    state for the chosen direction and psi1, psi2 the overlaps of the dot with the modes of photons 1 and 2.
     A photon in one mode has one overlap with the dot, so the overlaps
     factor out of the two-ordering sum.
     """
-    value = _m12_raw(omega1.rad_per_s, omega2.rad_per_s, field, model, direction,
-                     states, min_detuning)
+    value = _m12_raw(omega1.rad_per_s, omega2.rad_per_s, field, model, direction)
     return psi1 * psi2 * float(value)

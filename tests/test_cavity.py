@@ -6,17 +6,18 @@ import pytest
 from twophoton.cavity import (
     BulkHost,
     CavityMode,
-    bulk_mode_density,
-    cavity_mode_density_times_omega,
     lorentzian_mismatch,
     mode_at_wavelength,
     purcell_factor,
 )
 from twophoton.quantities import (
+    EPS0,
+    HBAR,
     AngularFrequency,
     Wavelength,
     wavelength_to_angular_frequency,
 )
+from twophoton.rates import _leg_factor
 
 GAAS = BulkHost(3.4)
 
@@ -71,33 +72,47 @@ def test_mismatch_far_detuned_small():
     assert lorentzian_mismatch(omega, mode) < 1e-5
 
 
+def _bulk_density(omega: float, n: float, volume: float) -> float:
+    # mode density rho(w) = V n^3 w^2 / (3 pi^2 c^3) from the bulk leg factor
+    # n w^3 / (3 pi^2 hbar eps0 c^3), which is rho w / (hbar n^2 eps0 V)
+    return _leg_factor(omega, None, n) * HBAR * n**2 * EPS0 * volume / omega
+
+
+def _cavity_density_times_omega(omega: float, mode: CavityMode, n: float) -> float:
+    # w rho(w) = 2 Q phi / pi from the cavity leg factor
+    # 2 Q psi^2 phi / (pi hbar n^2 eps0 V), at psi = 1
+    return _leg_factor(omega, mode, n) * HBAR * n**2 * EPS0 * mode.volume
+
+
 def test_bulk_density_value():
     # w^2 V n^3/(3 pi^2 c^3) at n=1, V=1
-    omega = AngularFrequency(2.034e15)
-    rho = bulk_mode_density(omega, BulkHost(1.0), 1.0)
-    by_hand = omega.rad_per_s**2 / (3.0 * math.pi**2 * 299792458.0**3)
+    omega = 2.034e15
+    rho = _bulk_density(omega, 1.0, 1.0)
+    by_hand = omega**2 / (3.0 * math.pi**2 * 299792458.0**3)
     assert rho == pytest.approx(by_hand, rel=1e-15)
     assert rho == pytest.approx(5185.836119664039, rel=1e-13)
     # and it scales as w^2
-    at_dot_line = bulk_mode_density(
-        wavelength_to_angular_frequency(Wavelength(926e-9)), BulkHost(1.0), 1.0)
+    at_dot_line = _bulk_density(
+        wavelength_to_angular_frequency(Wavelength(926e-9)).rad_per_s, 1.0, 1.0)
     assert at_dot_line == pytest.approx(5186.758893903379, rel=1e-13)
 
 
 def test_bulk_density_scales_with_n_cubed_and_volume():
-    omega = AngularFrequency(1e15)
-    base = bulk_mode_density(omega, BulkHost(1.0), 1.0)
-    assert bulk_mode_density(omega, BulkHost(2.0), 1.0) == pytest.approx(
-        8.0 * base, rel=1e-15)
-    assert bulk_mode_density(omega, BulkHost(1.0), 3.0) == pytest.approx(
-        3.0 * base, rel=1e-15)
+    omega = 1e15
+    base = _bulk_density(omega, 1.0, 1.0)
+    assert _bulk_density(omega, 2.0, 1.0) == pytest.approx(8.0 * base, rel=1e-15)
+    assert _bulk_density(omega, 1.0, 3.0) == pytest.approx(3.0 * base, rel=1e-15)
+    # the bulk leg itself: n^3 density over the n^2 field normalization
+    assert _leg_factor(omega, None, 2.0) == pytest.approx(
+        2.0 * _leg_factor(omega, None, 1.0), rel=1e-15)
 
 
 def test_cavity_density_resonant_value():
     mode = _mode()
-    assert cavity_mode_density_times_omega(mode.omega_c, mode) == pytest.approx(
+    wc = mode.omega_c.rad_per_s
+    assert _cavity_density_times_omega(wc, mode, GAAS.n) == pytest.approx(
         2.0 * 5000.0 / math.pi, rel=1e-15)
-    assert cavity_mode_density_times_omega(mode.omega_c, mode) == pytest.approx(
+    assert _cavity_density_times_omega(wc, mode, GAAS.n) == pytest.approx(
         3183.098861837907, rel=1e-13)
 
 
@@ -115,16 +130,19 @@ def test_purcell_factor_values():
 
 
 def test_purcell_equals_density_ratio():
-    # F must equal the cavity/bulk density ratio at any frequency in band,
-    # not only on resonance
+    # F must equal the cavity/bulk density ratio, which is the cavity/bulk
+    # leg ratio at psi = 1, at any frequency in band, not only on resonance
     mode = _mode()
     for shift in (1.0, 1.0 + 1e-5, 1.0 - 2e-5):
         omega = AngularFrequency(mode.omega_c.rad_per_s * shift)
         lam = Wavelength(2.0 * math.pi * 299792458.0 / omega.rad_per_s)
-        cavity = cavity_mode_density_times_omega(omega, mode) / omega.rad_per_s
-        bulk = bulk_mode_density(omega, GAAS, mode.volume)
+        w = omega.rad_per_s
+        cavity = _cavity_density_times_omega(w, mode, GAAS.n) / w
+        bulk = _bulk_density(w, GAAS.n, mode.volume)
         assert purcell_factor(lam, GAAS, mode, omega) == pytest.approx(
             cavity / bulk, rel=1e-12)
+        assert purcell_factor(lam, GAAS, mode, omega) == pytest.approx(
+            _leg_factor(w, mode, GAAS.n) / _leg_factor(w, None, GAAS.n), rel=1e-12)
 
 
 def test_mode_validation():

@@ -27,6 +27,11 @@ def test_sweep_to_stdout(cfg_path, capsys):
     assert lines[0].startswith("field_V_per_um,omega_eff_over_2pi_Hz,")
 
 
+def test_sweep_json_to_stdout(cfg_path, capsys):
+    assert main(["sweep", "--config", cfg_path, "--format", "json"]) == 0
+    assert len(parse_json_text(capsys.readouterr().out).rows) == 5
+
+
 def test_sweep_to_file_json(cfg_path, tmp_path):
     out = tmp_path / "result.json"
     assert main(["sweep", "--config", cfg_path, "--output", str(out),
@@ -74,7 +79,9 @@ def test_omega2_sweep_nonpositive_min_exits_2(tmp_path, capsys):
     ("drives:\n  - {}\n  - {omega_rad_per_s: 3.0e+15}\n", "drives[1].omega_rad_per_s"),
     ("dot:\n  wavelength_nm: 2400.0\n", "drives[1].omega_rad_per_s"),
     ("modes: 3\n", "modes must list"),
-], ids=["drive-past-dot-line", "dot-line-below-drives", "modes-not-a-list"])
+    ("dot:\n  wavelength_nm: 1.0e-320\n", "dot: wavelength must be positive"),
+], ids=["drive-past-dot-line", "dot-line-below-drives", "modes-not-a-list",
+        "dot-line-underflows"])
 def test_config_error_exits_2(tmp_path, capsys, override, fragment):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("preset: paper-fig3\n" + override)
@@ -100,6 +107,29 @@ def test_sweep_runtime_error_exits_1(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "grid point 0" in err
+
+
+@pytest.mark.parametrize("path,value", [
+    (("modes", 0, "quality"), 1.0e308),       # 4 Q^2 overflows
+    (("drives", 0), {"omega_rad_per_s": 1.0e-300, "power_uw": 12.0,
+                     "spot_area_um2": 1.0}),  # 1/w^2 divides by zero
+], ids=["overflow", "zero-division"])
+def test_sweep_arithmetic_error_exits_1(tmp_path, capsys, path, value):
+    import yaml
+
+    from twophoton import preset_config
+
+    base = preset_config("paper-fig3")
+    target = base
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    base["sweep"]["points"] = 2
+    base["preset"] = None  # complete config, keep the CLI default from merging
+    cfg = tmp_path / "extreme.yaml"
+    cfg.write_text(yaml.safe_dump(base))
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: grid point 0 ")
 
 
 def test_fig3a_deterministic_bytes(tmp_path):
@@ -132,6 +162,9 @@ def test_enhancement_output(capsys):
     assert float(values["G1"]) == pytest.approx(153.15972046970325, rel=1e-6)
     assert float(values["G2"]) == pytest.approx(69.54914110437048, rel=1e-6)
     assert float(values["G1G2"]) == pytest.approx(10652.12701045333, rel=1e-6)
+    # the printed digits, so a refactor that moves one shows up
+    assert out == ["F1 = 3.799544e+02", "F2 = 3.799544e+02", "F1F2 = 1.443654e+05",
+                   "G1 = 1.531597e+02", "G2 = 6.954914e+01", "G1G2 = 1.065213e+04"]
 
 
 def test_enhancement_rejects_bad_values(capsys):

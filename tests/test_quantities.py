@@ -4,9 +4,11 @@ import pytest
 
 from twophoton.quantities import (
     C,
-    CODATA2018,
     CONSTANTS_VERSION,
+    EPS0,
     HBAR,
+    M0,
+    QE,
     AngularFrequency,
     DipoleMoment,
     Wavelength,
@@ -17,11 +19,11 @@ from twophoton.quantities import (
 
 
 def test_constants_values():
-    assert CODATA2018.hbar == pytest.approx(1.0545718176461565e-34, rel=1e-15)
-    assert CODATA2018.c == 299792458.0
-    assert CODATA2018.eps0 == 8.8541878128e-12
-    assert CODATA2018.e == 1.602176634e-19
-    assert CODATA2018.m0 == 9.1093837015e-31
+    assert HBAR == pytest.approx(1.0545718176461565e-34, rel=1e-15)
+    assert C == 299792458.0
+    assert EPS0 == 8.8541878128e-12
+    assert QE == 1.602176634e-19
+    assert M0 == 9.1093837015e-31
     assert CONSTANTS_VERSION == "codata2018"
     # hbar is h/2pi with h exact by definition
     assert HBAR == 6.62607015e-34 / (2.0 * math.pi)

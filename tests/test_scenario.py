@@ -170,6 +170,14 @@ REJECTIONS = [
      "drives[1].omega_rad_per_s must put photon 2 below the dot transition"),
     (("drives", 2, "omega_rad_per_s"), 3.0e15, "drives[2].omega_rad_per_s"),
     (("dot", "wavelength_nm"), 2400.0, "drives[1].omega_rad_per_s"),
+    # in range, but under- or overflows on its way to SI units
+    (("dot", "wavelength_nm"), 1.0e-320, "dot: wavelength must be positive"),
+    (("modes", 0, "volume_cubic_wavelengths"), 1.0e-320,
+     "modes[0]: mode volume must be positive"),
+    (("dot", "electron_confinement_mev"), 1.0e308,
+     "dot: angular frequency must be positive and finite, got inf"),
+    # (wavelength/n)^3 underflows, so the first mode's volume is 0 m^3
+    (("dot", "refractive_index"), 1.0e308, "modes[0]: mode volume must be positive"),
 ]
 
 
@@ -333,6 +341,34 @@ def test_sweep_error_names_grid_point():
     assert "grid point 0" in str(err.value)
     assert "field_V_per_um = 0.5" in str(err.value)
     assert err.value.index == 0
+
+
+def _arithmetic_failures():
+    # in range, but the rates overflow (4 Q^2) or divide by zero (1/w^2)
+    high_q = preset_config("paper-fig3")
+    high_q["modes"][0]["quality"] = 1.0e308
+    slow = preset_config("paper-fig3")
+    del slow["drives"][0]["wavelength_nm"]
+    slow["drives"][0]["omega_rad_per_s"] = 1.0e-300
+    return [high_q, slow]
+
+
+@pytest.mark.parametrize("cfg", _arithmetic_failures(), ids=["overflow", "zero-division"])
+def test_sweep_arithmetic_error_names_grid_point(cfg):
+    cfg["sweep"]["points"] = 3
+    with pytest.raises(SweepError) as err:
+        run_sweep(config_from_dict(cfg))
+    assert "grid point 0 (field_V_per_um = 0)" in str(err.value)
+    assert isinstance(err.value.__cause__, ArithmeticError)
+
+
+def test_omega2_sweep_arithmetic_error_names_grid_point():
+    cfg = _arithmetic_failures()[0]
+    center = cfg["modes"][1]["omega_rad_per_s"]
+    cfg["sweep"] = {"variable": "omega2", "min": center - 1e11,
+                    "max": center + 1e11, "points": 3}
+    with pytest.raises(SweepError, match=r"grid point 0 \(omega2_rad_per_s"):
+        run_sweep(config_from_dict(cfg))
 
 
 def test_omega2_sweep_needs_no_spot_area():

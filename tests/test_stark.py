@@ -17,8 +17,8 @@ from twophoton.rates import (
 )
 from twophoton.stark import (
     ABSORPTION,
+    DEFAULT_MIN_DETUNING,
     EMISSION,
-    IntermediateState,
     LateralField,
     SingularDetuningError,
     default_intermediate_states,
@@ -30,7 +30,6 @@ from twophoton.stark import (
     m12,
     oscillator_length,
     stark_displacement,
-    state_dipole_pair,
 )
 
 V_PER_UM = 1e6
@@ -85,13 +84,6 @@ def test_dipole_product_odd_and_peaked(dot):
     assert peak == pytest.approx(1.0037586376187736e-55, rel=1e-12)
     for off in (0.9, 1.1):
         assert dipole_product_sp(LateralField(off * field_star), dot) < peak
-
-
-def test_state_pair_product_consistency(dot):
-    field = LateralField(0.75 * V_PER_UM)
-    d_gk, d_ke = state_dipole_pair(field, dot)
-    assert d_gk * d_ke == pytest.approx(dipole_product_sp(field, dot), rel=1e-14)
-    assert d_ke == pytest.approx(QE * oscillator_length(dot), rel=1e-15)
 
 
 @pytest.mark.parametrize("e_um", [0.25, 0.5, 1.0])
@@ -151,13 +143,15 @@ def test_singular_detuning_raises(dot):
     assert "photon-1-first" in str(err.value)
 
 
-def test_min_detuning_floor_configurable(dot):
+def test_min_detuning_default_floor(dot):
     con = default_intermediate_states(dot)[0]
-    w1 = AngularFrequency(con.energy_above_ground.rad_per_s - 1e10)
     w2 = AngularFrequency(1e14)
-    intermediate_detunings(w1, w2, dot)    # above the default 1e9 floor: fine
-    with pytest.raises(SingularDetuningError):
-        intermediate_detunings(w1, w2, dot, min_detuning=1e11)
+    above = AngularFrequency(con.energy_above_ground.rad_per_s - 1e10)
+    intermediate_detunings(above, w2, dot)    # above the 1e9 floor: fine
+    below = AngularFrequency(con.energy_above_ground.rad_per_s - 1e8)
+    with pytest.raises(SingularDetuningError) as err:
+        intermediate_detunings(below, w2, dot)
+    assert f"floor {DEFAULT_MIN_DETUNING:.3e} rad/s" in str(err.value)
 
 
 def test_m12_values(dot, experiment):
@@ -218,18 +212,6 @@ def test_m12_psi_factors_scale_terms(dot, experiment, psi1, psi2):
     assert tpste_rate(dot, field, mode1, mode2, stim) == pytest.approx(
         (psi1 * psi2) ** 2 * tpste_rate(dot, field, experiment.mode1,
                                         experiment.mode2, stim), rel=1e-14)
-
-
-def test_m12_custom_states(dot, experiment):
-    # a second conduction-like channel at the same energy doubles M12
-    field = LateralField(0.5 * V_PER_UM)
-    w1 = experiment.mode1.omega_c
-    w2 = experiment.mode2.omega_c
-    states = default_intermediate_states(dot)
-    doubled = states + (IntermediateState("extra", states[0].energy_above_ground),
-                        IntermediateState("extra2", states[1].energy_above_ground))
-    assert m12(w1, w2, field, dot, states=doubled) == pytest.approx(
-        2.0 * m12(w1, w2, field, dot), rel=1e-14)
 
 
 def test_model_validation(dot):
