@@ -14,8 +14,6 @@ typed objects the rate functions take.
 
 from __future__ import annotations
 
-import copy
-
 from .cavity import BulkHost, CavityMode, mode_at_wavelength
 from .quantities import (
     AngularFrequency,
@@ -86,13 +84,13 @@ PRESET_NAMES = tuple(sorted(_PRESETS))
 
 
 def preset_config(name: str) -> dict:
-    """Fresh deep copy of the named preset's full config dict."""
+    """The named preset's full config dict, built fresh on every call."""
     try:
         builder = _PRESETS[name]
     except KeyError:
         known = ", ".join(PRESET_NAMES)
         raise ValueError(f"unknown preset {name!r}; known presets: {known}") from None
-    return copy.deepcopy(builder())
+    return builder()
 
 
 def _entry_omega(entry: dict) -> AngularFrequency:
@@ -137,14 +135,20 @@ def _build_dot(entry: dict) -> QuantumDotModel:
     )
 
 
+def _reason(exc: Exception) -> str:
+    """An error's message, led by its type when it is an arithmetic one,
+    whose bare message ("math range error") names no cause."""
+    return f"{type(exc).__name__}: {exc}" if isinstance(exc, ArithmeticError) else str(exc)
+
+
 def _built(path: str, build, *args):
-    """build(*args), naming the config entry `path` in a ValueError it
-    raises: a value the config checks pass can still under- or overflow
-    on its way to SI units."""
+    """build(*args), naming the config entry `path` in a ValueError that
+    replaces its ValueError or ArithmeticError: a value the config checks
+    pass can still under- or overflow on its way to SI units."""
     try:
         return build(*args)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    except (ValueError, ArithmeticError) as exc:
+        raise ValueError(f"{path}: {_reason(exc)}") from exc
 
 
 def build_experiment(config: dict) -> Experiment:

@@ -1,8 +1,12 @@
 """Two-photon and one-photon transition rates for the driven dot.
 
 All rates come from the second-order amplitude through the p-shell
-intermediate states: a transition moment M12, which depends only on the
-dot, the field and the two photon frequencies, times one environment
+intermediate states: a transition moment
+
+    M12 = |d_gk d_ke| |sum_k (1/D1 + 1/D2)|
+
+(stark.m12), the field's dipole product times a field-free sum over the
+two p-shell states k and the two photon orderings, times one environment
 factor per photon leg. The generic on-shell rate is
 
     gamma = 2 pi |Omega_eff|^2 L(w_d - w_1 - w_2)
@@ -17,9 +21,9 @@ replace per-photon occupation factors with mode densities:
     density        dGamma/dw2 = (pi/2) [factor at w1] [factor at w2] M12^2
 
 with w1 = w_d - w2 on shell and psi the overlap of a mode with the dot
-(psi = 1 for a bulk leg). Stimulated-plus-spontaneous emission into a
-driven mode-2 cavity multiplies the double-mode density by
-eta2 P2 pi / (4 hbar w2).
+(psi = 1 for a bulk leg). The one-photon rate is pi d_ss^2 f(w_d).
+Stimulated-plus-spontaneous emission into a driven mode-2 cavity
+multiplies the double-mode density by eta2 P2 pi / (4 hbar w2).
 
 Everything is a pure function of immutable inputs; evaluation points are
 independent and can run in parallel.
@@ -300,23 +304,22 @@ def _legs(environment: str, mode1: CavityMode | None,
     return legs
 
 
-def _check_omega2(omega2: AngularFrequency, model: QuantumDotModel) -> float:
-    w2 = omega2.rad_per_s
-    if w2 >= model.omega_d.rad_per_s:
+def _check_omega2(omega2: AngularFrequency, model: QuantumDotModel) -> tuple:
+    """The emitted pair (w1, w2), raw rad/s, with w1 = w_d - w2 > 0."""
+    w2, w_d = omega2.rad_per_s, model.omega_d.rad_per_s
+    if w2 >= w_d:
         raise ValueError(
             f"emitted frequency {w2:.6e} rad/s must lie below the dot "
-            f"transition {model.omega_d.rad_per_s:.6e} rad/s")
-    return w2
+            f"transition {w_d:.6e} rad/s")
+    return w_d - w2, w2
 
 
-def _density_raw(w2, field: LateralField, model: QuantumDotModel, environment: str,
-                 mode1: CavityMode | None, mode2: CavityMode | None):
-    # dGamma/dw2 = (pi/2) [leg factor at w1] [leg factor at w2] M12^2 with
-    # w1 = w_d - w2; w2 raw rad/s scalar or array. Mode overlaps enter
-    # through the leg factors.
+def _density_raw(w1, w2, field: LateralField, model: QuantumDotModel,
+                 environment: str, mode1: CavityMode | None, mode2: CavityMode | None):
+    # dGamma/dw2 = (pi/2) [leg factor at w1] [leg factor at w2] M12^2; w1, w2
+    # raw rad/s scalars or arrays. Mode overlaps enter through the leg factors.
     leg1, leg2 = _legs(environment, mode1, mode2)
     n = model.host.n
-    w1 = model.omega_d.rad_per_s - w2
     m = _m12_raw(w1, w2, field, model, EMISSION)
     return (math.pi / 2.0) * _leg_factor(w1, leg1, n) * _leg_factor(w2, leg2, n) * m * m
 
@@ -324,8 +327,8 @@ def _density_raw(w2, field: LateralField, model: QuantumDotModel, environment: s
 def _spectral_density(omega2: AngularFrequency, model: QuantumDotModel,
                       field: LateralField, environment: str,
                       mode1: CavityMode | None, mode2: CavityMode | None) -> float:
-    w2 = _check_omega2(omega2, model)
-    return float(_density_raw(w2, field, model, environment, mode1, mode2))
+    w1, w2 = _check_omega2(omega2, model)
+    return float(_density_raw(w1, w2, field, model, environment, mode1, mode2))
 
 
 def tpse_spectral_density_bulk(omega2: AngularFrequency, model: QuantumDotModel,
@@ -377,9 +380,11 @@ def tpse_total_fixed(model: QuantumDotModel, field: LateralField, environment: s
     vanishes at both endpoints (w^3 factors and phi -> 0)."""
     if intervals < 2:
         raise ValueError(f"grid needs at least 2 intervals, got {intervals!r}")
-    grid = np.linspace(0.0, model.omega_d.rad_per_s, intervals + 1)
+    w_d = model.omega_d.rad_per_s
+    grid = np.linspace(0.0, w_d, intervals + 1)
     values = np.zeros_like(grid)
-    values[1:-1] = _density_raw(grid[1:-1], field, model, environment, mode1, mode2)
+    values[1:-1] = _density_raw(w_d - grid[1:-1], grid[1:-1], field, model,
+                                environment, mode1, mode2)
     return float(np.trapezoid(values, grid))
 
 
@@ -423,13 +428,25 @@ def tpste_rate(model: QuantumDotModel, field: LateralField, mode1: CavityMode,
     of the stimulation drive and g2 = sqrt(hbar w2 / (2 n^2 eps0 V2)) the
     single-photon field of mode 2. Linear in the stimulation power P2.
     """
-    w2 = _check_omega2(drive2.omega, model)
+    w1, w2 = _check_omega2(drive2.omega, model)
     n = model.host.n
-    w1 = model.omega_d.rad_per_s - w2
     stim = photon_number_cavity(drive2, mode2) \
         * (_vacuum_coupling(w2, mode2.volume, n) * mode2.psi / HBAR) ** 2
     m = _m12_raw(w1, w2, field, model, EMISSION)
     return float((math.pi / 2.0) * _leg_factor(w1, mode1, n) * stim * m * m)
+
+
+def _cavity_channel(drive: DriveField, mode: CavityMode) -> PhotonChannel:
+    """The photon slot of a drive fed through a cavity mode."""
+    return PhotonChannel(drive.omega, mode.volume, photon_number_cavity(drive, mode),
+                         mode.psi)
+
+
+def _tpa_rate(ch1: PhotonChannel, ch2: PhotonChannel, model: QuantumDotModel,
+              field: LateralField, lw: Linewidth) -> float:
+    om = effective_rabi(ch1, ch2, field, model, ABSORPTION)
+    detuning = model.omega_d.rad_per_s - ch1.omega.rad_per_s - ch2.omega.rad_per_s
+    return on_shell_two_photon_rate(om, detuning, lw)
 
 
 def tpa_rate_bulk(drive1: DriveField, drive2: DriveField, model: QuantumDotModel,
@@ -438,11 +455,9 @@ def tpa_rate_bulk(drive1: DriveField, drive2: DriveField, model: QuantumDotModel
     host; equivalent closed form
     (pi/2) [P1/(2 hbar^2 n eps0 c A1)] [P2/(2 hbar^2 n eps0 c A2)] M12^2 L."""
     # quantization volume cancels against the photon number; use 1 m^3
-    ch1 = PhotonChannel(drive1.omega, 1.0, photon_number_bulk(drive1, 1.0, model.host))
-    ch2 = PhotonChannel(drive2.omega, 1.0, photon_number_bulk(drive2, 1.0, model.host))
-    om = effective_rabi(ch1, ch2, field, model, ABSORPTION)
-    detuning = model.omega_d.rad_per_s - drive1.omega.rad_per_s - drive2.omega.rad_per_s
-    return on_shell_two_photon_rate(om, detuning, lw)
+    ch1, ch2 = (PhotonChannel(drive.omega, 1.0, photon_number_bulk(drive, 1.0, model.host))
+                for drive in (drive1, drive2))
+    return _tpa_rate(ch1, ch2, model, field, lw)
 
 
 def tpa_rate_cavity(drive1: DriveField, drive2: DriveField, mode1: CavityMode,
@@ -452,13 +467,8 @@ def tpa_rate_cavity(drive1: DriveField, drive2: DriveField, mode1: CavityMode,
     modes. Built from the intracavity photon numbers, so each per-photon
     bracket is eta P Q phi / (hbar^2 w n^2 eps0 V) and the enhancement over
     the bulk rate is exactly G1 G2 with G = eta Q A lambda / (pi V n)."""
-    ch1 = PhotonChannel(drive1.omega, mode1.volume,
-                        photon_number_cavity(drive1, mode1), mode1.psi)
-    ch2 = PhotonChannel(drive2.omega, mode2.volume,
-                        photon_number_cavity(drive2, mode2), mode2.psi)
-    om = effective_rabi(ch1, ch2, field, model, ABSORPTION)
-    detuning = model.omega_d.rad_per_s - drive1.omega.rad_per_s - drive2.omega.rad_per_s
-    return on_shell_two_photon_rate(om, detuning, lw)
+    return _tpa_rate(_cavity_channel(drive1, mode1), _cavity_channel(drive2, mode2),
+                     model, field, lw)
 
 
 def opse_rate(model: QuantumDotModel, field: LateralField,
@@ -468,8 +478,7 @@ def opse_rate(model: QuantumDotModel, field: LateralField,
     dipole. A mode at the transition frequency, when given, multiplies the
     rate by its Purcell factor."""
     d = dipole_ss(field, model).coulomb_meters
-    w_d = model.omega_d.rad_per_s
-    rate = model.host.n * w_d**3 * d * d / (3.0 * math.pi * HBAR * EPS0 * C**3)
+    rate = math.pi * d * d * _leg_factor(model.omega_d.rad_per_s, None, model.host.n)
     if mode_d is not None:
         rate *= purcell_factor(angular_frequency_to_wavelength(model.omega_d),
                                model.host, mode_d, model.omega_d)
@@ -492,11 +501,9 @@ def evaluate_point(field_v_per_m: float, experiment: Experiment) -> RateReport:
     field = LateralField(field_v_per_m)
     ex = experiment
 
-    ch1 = PhotonChannel(ex.drive1.omega, ex.mode1.volume,
-                        photon_number_cavity(ex.drive1, ex.mode1), ex.mode1.psi)
-    ch2 = PhotonChannel(ex.drive2.omega, ex.mode2.volume,
-                        photon_number_cavity(ex.drive2, ex.mode2), ex.mode2.psi)
-    om_eff = effective_rabi(ch1, ch2, field, ex.dot, ABSORPTION)
+    om_eff = effective_rabi(_cavity_channel(ex.drive1, ex.mode1),
+                            _cavity_channel(ex.drive2, ex.mode2), field, ex.dot,
+                            ABSORPTION)
 
     tpste = tpste_rate(ex.dot, field, ex.mode1, ex.mode2, ex.stim_drive2)
     opse = opse_rate(ex.dot, field, ex.mode_d)

@@ -10,8 +10,7 @@ Field sweeps evaluate the full rate report per grid point; omega2 sweeps
 emit relative emitted-power spectra (cavity and bulk, normalized to the
 bulk peak inside the window). Grid points are mutually independent, so they
 may be evaluated concurrently; rows always come out in grid order. Output
-is deterministic: the run timestamp lives on the result object only and is
-never serialized.
+is deterministic and carries no timestamp.
 """
 
 from __future__ import annotations
@@ -20,14 +19,13 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field as dataclass_field, fields
-from datetime import datetime, timezone
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .presets import PRESET_NAMES, build_experiment, preset_config
+from .presets import PRESET_NAMES, _reason, build_experiment, preset_config
 from .quantities import CONSTANTS_VERSION, HBAR, AngularFrequency
 from .rates import (
     Experiment,
@@ -121,15 +119,12 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Ordered sweep rows plus provenance metadata. The timestamp records
-    when the sweep ran; it is excluded from equality and serialization so
-    identical configs give byte-identical output."""
+    """Ordered sweep rows plus provenance metadata."""
 
     rows: tuple
     sweep_variable: str
     config_hash: str
     constants_version: str
-    timestamp: str = dataclass_field(default="", compare=False)
 
 
 # --- validation -------------------------------------------------------------
@@ -268,6 +263,8 @@ def _check_sweep(sweep: dict, drives: list) -> dict:
         hold = _number(sweep, "field_v_per_um", "sweep", rules["field_v_per_um"])
         if hold is None:
             hold = DEFAULT_FIG3B_FIELD_V_PER_UM
+        elif not math.isfinite(hold * 1e6):
+            raise ConfigError(f"sweep.field_v_per_um must be finite in V/m, got {hold!r}")
     elif "field_v_per_um" in sweep:
         raise ConfigError("sweep.field_v_per_um only applies to omega2 sweeps")
     else:
@@ -392,44 +389,44 @@ def load_config(source: str | Path,
 # --- execution --------------------------------------------------------------
 
 
-def _grid(config: ScenarioConfig) -> np.ndarray:
-    if config.sweep_log:
-        return np.geomspace(config.sweep_min, config.sweep_max, config.sweep_points)
-    return np.linspace(config.sweep_min, config.sweep_max, config.sweep_points)
+def _grid(config: ScenarioConfig) -> list[float]:
+    space = np.geomspace if config.sweep_log else np.linspace
+    return space(config.sweep_min, config.sweep_max, config.sweep_points).tolist()
 
 
 def _run_field_sweep(config: ScenarioConfig) -> tuple:
     rows = []
     for i, e_v_per_um in enumerate(_grid(config)):
         try:
-            rows.append(evaluate_point(float(e_v_per_um) * 1e6, config.experiment))
+            rows.append(evaluate_point(e_v_per_um * 1e6, config.experiment))
         except (ValueError, ArithmeticError) as exc:
-            raise SweepError(i, "field_V_per_um", float(e_v_per_um), str(exc)) from exc
+            raise SweepError(i, "field_V_per_um", e_v_per_um, _reason(exc)) from exc
     return tuple(rows)
 
 
 def _run_omega2_sweep(config: ScenarioConfig) -> tuple:
     ex = config.experiment
     field = LateralField(config.sweep_field_v_per_um * 1e6)
-    cavity = np.empty(config.sweep_points)
-    bulk = np.empty(config.sweep_points)
-    grid = _grid(config)
+    grid, cavity, bulk = _grid(config), [], []
     for i, w2 in enumerate(grid):
-        omega2 = AngularFrequency(float(w2))
+        omega2 = AngularFrequency(w2)
         try:
-            cav_density = tpse_spectral_density_cavity(
+            # emitted power density, W s/rad
+            cav = HBAR * w2 * tpse_spectral_density_cavity(
                 omega2, ex.dot, field, ex.mode1, ex.mode2)
-            bulk_density = tpse_spectral_density_bulk(omega2, ex.dot, field)
+            blk = HBAR * w2 * tpse_spectral_density_bulk(omega2, ex.dot, field)
         except (ValueError, ArithmeticError) as exc:
-            raise SweepError(i, "omega2_rad_per_s", float(w2), str(exc)) from exc
-        cavity[i] = HBAR * w2 * cav_density        # emitted power density, W s/rad
-        bulk[i] = HBAR * w2 * bulk_density
-    peak = float(bulk.max())
+            raise SweepError(i, "omega2_rad_per_s", w2, _reason(exc)) from exc
+        if not (math.isfinite(cav) and math.isfinite(blk)):
+            raise SweepError(i, "omega2_rad_per_s", w2, f"emitted power density is "
+                             f"not finite (cavity {cav!r}, bulk {blk!r})")
+        cavity.append(cav)
+        bulk.append(blk)
+    peak = max(bulk)
     if peak > 0.0:
-        cavity = cavity / peak
-        bulk = bulk / peak
-    return tuple(SpectralRow(float(w2), float(c), float(b))
-                 for w2, c, b in zip(grid, cavity, bulk))
+        cavity = [c / peak for c in cavity]
+        bulk = [b / peak for b in bulk]
+    return tuple(map(SpectralRow, grid, cavity, bulk))
 
 
 def run_sweep(config: ScenarioConfig) -> SweepResult:
@@ -444,7 +441,6 @@ def run_sweep(config: ScenarioConfig) -> SweepResult:
         sweep_variable=config.sweep_variable,
         config_hash=config.config_hash,
         constants_version=CONSTANTS_VERSION,
-        timestamp=datetime.now(timezone.utc).isoformat(),
     )
 
 
@@ -526,7 +522,7 @@ def result_to_json_text(result: SweepResult) -> str:
 
 def parse_json_text(text: str) -> SweepResult:
     """Inverse of result_to_json_text; the parsed result compares equal to
-    the one serialized (timestamps are excluded from comparison)."""
+    the one serialized."""
     data = json.loads(text)
     variable = data["sweep_variable"]
     row_type = RateReport if variable == "field" else SpectralRow

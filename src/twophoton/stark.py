@@ -9,11 +9,16 @@ s-p channel:
     dx    = e field (1/(m_e w_e^2) + 1/(m_h w_h^2))
     l_e   = sqrt(hbar / (2 m_e w_e))
     d_ss  = e r_cv exp(-dx^2 / (4 l_e^2))
-    d_gk d_ke = e^2 r_cv dx exp(-dx^2 / (4 l_e^2))   (per p-shell state)
+    d_gk d_ke = e^2 r_cv dx exp(-dx^2 / (4 l_e^2))
 
-Detunings feed the second-order transition amplitude; absorption uses
-Delta = (w_k - w_g) - w_i, emission replaces the term-1 (term-2)
-denominator by (w_k - w_g) - w_d + w_2 (resp. + w_1).
+The product is the same for both p-shell states k, so the second-order
+transition moment factors into the field's dipole product times a
+field-free sum over the two photon orderings:
+
+    M12 = |d_gk d_ke| |sum_k (1/D1 + 1/D2)|
+
+Absorption uses D = (w_k - w_g) - w_i; emission replaces the term-1
+(term-2) denominator by (w_k - w_g) - w_d + w_2 (resp. + w_1).
 
 Internals accept numpy arrays for the photon frequencies so spectral
 integrals can evaluate in one vectorized pass.
@@ -32,16 +37,13 @@ __all__ = [
     "ABSORPTION",
     "DEFAULT_MIN_DETUNING",
     "EMISSION",
-    "IntermediateState",
     "LateralField",
     "QuantumDotModel",
     "SingularDetuningError",
-    "default_intermediate_states",
     "dipole_product_sp",
     "dipole_product_sp_field_derivative",
     "dipole_ss",
     "dipole_ss_field_derivative",
-    "intermediate_detunings",
     "m12",
     "oscillator_length",
     "stark_displacement",
@@ -58,13 +60,13 @@ EMISSION = "emission"
 class SingularDetuningError(ValueError):
     """An intermediate-state denominator fell below DEFAULT_MIN_DETUNING."""
 
-    def __init__(self, label: str, ordering: str, value: float, floor: float):
+    def __init__(self, label: str, ordering: str, value: float):
         self.label = label
         self.ordering = ordering
         self.value = value
         super().__init__(
             f"near-resonant intermediate state {label!r} ({ordering} term): "
-            f"|detuning| = {abs(value):.3e} rad/s < floor {floor:.3e} rad/s")
+            f"|detuning| = {abs(value):.3e} rad/s < floor {DEFAULT_MIN_DETUNING:.3e} rad/s")
 
 
 @dataclass(frozen=True)
@@ -100,27 +102,6 @@ class LateralField:
             raise ValueError(f"field must be nonnegative and finite, got {self.v_per_m!r}")
 
 
-@dataclass(frozen=True)
-class IntermediateState:
-    """Virtual state for the second-order amplitude, placed by its total
-    excitation energy above the crystal ground state."""
-
-    label: str
-    energy_above_ground: AngularFrequency
-
-
-def default_intermediate_states(model: QuantumDotModel) -> tuple[IntermediateState, ...]:
-    """The two p-shell channels: conduction-p one electron quantum above the
-    exciton, valence-p one hole quantum above it."""
-    w_d = model.omega_d.rad_per_s
-    return (
-        IntermediateState("conduction-p",
-                          AngularFrequency(w_d + model.omega_e.rad_per_s)),
-        IntermediateState("valence-p",
-                          AngularFrequency(w_d + model.omega_h.rad_per_s)),
-    )
-
-
 def oscillator_length(model: QuantumDotModel) -> float:
     """Electron envelope length l_e = sqrt(hbar / (2 m_e* w_e)), meters."""
     return math.sqrt(HBAR / (2.0 * model.m_e_star * model.omega_e.rad_per_s))
@@ -151,17 +132,15 @@ def dipole_ss(field: LateralField, model: QuantumDotModel) -> DipoleMoment:
 
 def dipole_ss_field_derivative(field: LateralField, model: QuantumDotModel) -> float:
     """Analytic d(d_ss)/d(field), C m per (V/m)."""
-    kappa = _displacement_slope(model)
-    dx = kappa * field.v_per_m
-    l_e = oscillator_length(model)
-    return QE * model.r_cv * math.exp(-dx * dx / (4.0 * l_e * l_e)) \
-        * (-dx * kappa / (2.0 * l_e * l_e))
+    dx, l_e = stark_displacement(field, model), oscillator_length(model)
+    return QE * model.r_cv * _overlap(field, model) \
+        * (-dx * _displacement_slope(model) / (2.0 * l_e * l_e))
 
 
 def dipole_product_sp(field: LateralField, model: QuantumDotModel) -> float:
     """|d_gk||d_ke| = e^2 r_cv dx exp(-dx^2/(4 l_e^2)), C^2 m^2.
 
-    Identical for both default p-shell states; odd in the field, so it
+    Identical for both p-shell states; odd in the field, so it
     vanishes at zero field where parity forbids the two-photon channel.
     """
     return QE**2 * model.r_cv * stark_displacement(field, model) * _overlap(field, model)
@@ -170,77 +149,54 @@ def dipole_product_sp(field: LateralField, model: QuantumDotModel) -> float:
 def dipole_product_sp_field_derivative(field: LateralField,
                                        model: QuantumDotModel) -> float:
     """Analytic d(|d_gk||d_ke|)/d(field), C^2 m^2 per (V/m)."""
-    kappa = _displacement_slope(model)
-    dx = kappa * field.v_per_m
-    l_e = oscillator_length(model)
-    g = math.exp(-dx * dx / (4.0 * l_e * l_e))
-    return QE**2 * model.r_cv * kappa * g * (1.0 - dx * dx / (2.0 * l_e * l_e))
+    dx, l_e = stark_displacement(field, model), oscillator_length(model)
+    return QE**2 * model.r_cv * _displacement_slope(model) * _overlap(field, model) \
+        * (1.0 - dx * dx / (2.0 * l_e * l_e))
 
 
-def _term_denominators(state: IntermediateState, omega_d, omega1, omega2,
-                       direction: str):
-    """(photon-1-first, photon-2-first) denominators of one intermediate
-    state; omega_d, omega1 and omega2 are raw rad/s scalars or numpy arrays.
-    Raises SingularDetuningError when any magnitude falls below
-    DEFAULT_MIN_DETUNING."""
-    energy = state.energy_above_ground.rad_per_s
-    if direction == ABSORPTION:
-        d1, d2 = energy - omega1, energy - omega2
-    elif direction == EMISSION:
-        base = energy - omega_d
-        d1, d2 = base + omega2, base + omega1
-    else:
-        raise ValueError(f"direction must be 'absorption' or 'emission', got {direction!r}")
-    for ordering, d in (("photon-1-first", d1), ("photon-2-first", d2)):
-        # one reduction: on a scalar about half the cost of np.any(np.abs(d) < floor)
-        smallest = np.abs(d).min()
-        if smallest < DEFAULT_MIN_DETUNING:
-            raise SingularDetuningError(state.label, ordering, float(smallest),
-                                        DEFAULT_MIN_DETUNING)
-    return d1, d2
-
-
-def intermediate_detunings(omega1: AngularFrequency, omega2: AngularFrequency,
-                           model: QuantumDotModel, direction: str = ABSORPTION,
-                           ) -> list[tuple[float, float]]:
-    """(photon-1-first, photon-2-first) term denominators, rad/s, for each
-    of the model's default intermediate states, in their order.
-
-    Raises SingularDetuningError when any denominator magnitude falls below
-    DEFAULT_MIN_DETUNING.
-    """
-    return [_term_denominators(state, model.omega_d.rad_per_s, omega1.rad_per_s,
-                               omega2.rad_per_s, direction)
-            for state in default_intermediate_states(model)]
+# the p-shell intermediate states: label, and the QuantumDotModel attribute
+# holding the confinement quantum that places the state above the exciton
+_P_SHELL = (("conduction-p", "omega_e"), ("valence-p", "omega_h"))
 
 
 def _m12_raw(omega1, omega2, field: LateralField, model: QuantumDotModel,
              direction: str):
-    """Array-friendly core of m12 at unit mode overlaps; omega1/omega2 are
-    raw rad/s scalars or numpy arrays broadcast against each other."""
-    product = dipole_product_sp(field, model)
+    """Array-friendly core of m12; omega1/omega2 are raw rad/s scalars or
+    numpy arrays broadcast against each other. The detuning sum is field
+    free and the field enters once, through the dipole product. Raises
+    SingularDetuningError when a denominator magnitude falls below
+    DEFAULT_MIN_DETUNING."""
+    if direction not in (ABSORPTION, EMISSION):
+        raise ValueError(f"direction must be 'absorption' or 'emission', got {direction!r}")
+    w_d = model.omega_d.rad_per_s
     total = 0.0
-    for state in default_intermediate_states(model):
-        d1, d2 = _term_denominators(state, model.omega_d.rad_per_s, omega1, omega2,
-                                    direction)
-        total = total + product * (1.0 / d1 + 1.0 / d2)
+    for label, quantum in _P_SHELL:
+        energy = w_d + getattr(model, quantum).rad_per_s
+        if direction == ABSORPTION:
+            d1, d2 = energy - omega1, energy - omega2
+        else:
+            d1, d2 = energy - w_d + omega2, energy - w_d + omega1
+        for ordering, d in (("photon-1-first", d1), ("photon-2-first", d2)):
+            # one reduction: on a scalar about half the cost of np.any(np.abs(d) < floor)
+            smallest = np.abs(d).min()
+            if smallest < DEFAULT_MIN_DETUNING:
+                raise SingularDetuningError(label, ordering, float(smallest))
+        total = total + (1.0 / d1 + 1.0 / d2)
         # free them before the next state's are made: on a quadrature grid
         # each is as large as the grid
         del d1, d2
-    return np.abs(total)
+    return dipole_product_sp(field, model) * abs(total)
 
 
 def m12(omega1: AngularFrequency, omega2: AngularFrequency, field: LateralField,
-        model: QuantumDotModel, direction: str = ABSORPTION,
-        psi1: float = 1.0, psi2: float = 1.0) -> float:
+        model: QuantumDotModel, direction: str = ABSORPTION) -> float:
     """Two-photon transition moment, C^2 m^2 s:
 
-        M12 = psi1 psi2 | sum_k d_gk d_ke (1/D1 + 1/D2) |
+        M12 = |d_gk d_ke| |sum_k (1/D1 + 1/D2)|
 
-    with (D1, D2) the term denominators of each default intermediate
-    state for the chosen direction and psi1, psi2 the overlaps of the dot with the modes of photons 1 and 2.
-    A photon in one mode has one overlap with the dot, so the overlaps
-    factor out of the two-ordering sum.
+    with d_gk d_ke the field's dipole product, the same for both p-shell
+    states k, and (D1, D2) the photon-1-first and photon-2-first term
+    denominators of state k for the chosen direction. The mode overlaps
+    belong to the photon legs (rates.PhotonChannel, CavityMode.psi).
     """
-    value = _m12_raw(omega1.rad_per_s, omega2.rad_per_s, field, model, direction)
-    return psi1 * psi2 * float(value)
+    return float(_m12_raw(omega1.rad_per_s, omega2.rad_per_s, field, model, direction))

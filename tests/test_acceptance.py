@@ -289,8 +289,8 @@ def test_c08_exchange_symmetry(dot):
         w1 = AngularFrequency(wd - w2.rad_per_s)
         field = LateralField(rng.uniform(0.05, 1.5) * V_PER_UM)
         u = rng.uniform(0.1, 1.0)
-        base = m12(w1, w2, field, dot, psi1=u, psi2=u)
-        swap = m12(w2, w1, field, dot, psi1=u, psi2=u)
+        base = m12(w1, w2, field, dot)
+        swap = m12(w2, w1, field, dot)
         worst_m = max(worst_m, _rel(base, swap))
 
         volume = rng.uniform(1e-20, 1e-18)

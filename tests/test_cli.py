@@ -173,6 +173,13 @@ def test_enhancement_rejects_bad_values(capsys):
     assert "--q1" in capsys.readouterr().err
 
 
+def test_enhancement_overflowing_quality_exits_2(capsys):
+    # in range, but the cavity Lorentzian squares it past the float range
+    assert main(["enhancement", "--q1", "1e308", "--q2", "5000",
+                 "--v1-cubic-wavelengths", "1", "--v2-cubic-wavelengths", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: --q1 overflows")
+
+
 def test_unknown_preset_exits_2(capsys):
     assert main(["fig3a", "--preset", "other"]) == 2
     assert "preset" in capsys.readouterr().err

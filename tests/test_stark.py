@@ -21,12 +21,10 @@ from twophoton.stark import (
     EMISSION,
     LateralField,
     SingularDetuningError,
-    default_intermediate_states,
     dipole_product_sp,
     dipole_product_sp_field_derivative,
     dipole_ss,
     dipole_ss_field_derivative,
-    intermediate_detunings,
     m12,
     oscillator_length,
     stark_displacement,
@@ -99,21 +97,32 @@ def test_analytic_derivatives_match_central_differences(dot, e_um):
         assert numeric == pytest.approx(analytic, rel=1e-6)
 
 
-def test_default_states(dot):
-    con, val = default_intermediate_states(dot)
-    assert con.label == "conduction-p"
-    assert val.label == "valence-p"
+def _denominators(dot, w1, w2):
+    """Absorption (photon-1-first, photon-2-first) denominators, rad/s, of
+    the conduction-p and valence-p states, one electron and one hole
+    quantum above the exciton."""
     w_d = dot.omega_d.rad_per_s
-    assert con.energy_above_ground.rad_per_s == pytest.approx(
-        w_d + dot.omega_e.rad_per_s, rel=1e-15)
-    assert val.energy_above_ground.rad_per_s == pytest.approx(
-        w_d + dot.omega_h.rad_per_s, rel=1e-15)
+    energies = [w_d + quantum.rad_per_s for quantum in (dot.omega_e, dot.omega_h)]
+    return [(energy - w1.rad_per_s, energy - w2.rad_per_s) for energy in energies]
+
+
+def test_default_states(dot):
+    # photon 1 on each p-shell state in turn: the guard names that state
+    w_d = dot.omega_d.rad_per_s
+    field = LateralField(0.3 * V_PER_UM)
+    for label, quantum in (("conduction-p", dot.omega_e), ("valence-p", dot.omega_h)):
+        with pytest.raises(SingularDetuningError) as err:
+            m12(AngularFrequency(w_d + quantum.rad_per_s), AngularFrequency(1e14),
+                field, dot)
+        assert err.value.label == label
+        assert err.value.ordering == "photon-1-first"
+        assert err.value.value == 0.0
 
 
 def test_absorption_detunings(dot, experiment):
     w1 = experiment.mode1.omega_c
     w2 = experiment.mode2.omega_c
-    res = intermediate_detunings(w1, w2, dot)   # per state: (photon-1-first, photon-2-first)
+    res = _denominators(dot, w1, w2)   # per state: (photon-1-first, photon-2-first)
     assert res[0][0] == pytest.approx(837153091908316.5, rel=1e-13)
     assert res[1][0] == pytest.approx(828037487221044.8, rel=1e-13)
     assert res[0][1] == pytest.approx(1233490285057674.5, rel=1e-13)
@@ -125,32 +134,29 @@ def test_emission_detunings_match_absorption_on_shell(dot, experiment):
     # denominators exactly
     w2 = experiment.mode2.omega_c
     w1 = AngularFrequency(dot.omega_d.rad_per_s - w2.rad_per_s)
-    absorbed = intermediate_detunings(w1, w2, dot, direction=ABSORPTION)
-    emitted = intermediate_detunings(w1, w2, dot, direction=EMISSION)
-    for a, e in zip(absorbed, emitted):
-        assert a[0] == e[0]     # photon-1-first
-        assert a[1] == e[1]     # photon-2-first
+    field = LateralField(0.5 * V_PER_UM)
+    assert m12(w1, w2, field, dot, ABSORPTION) == m12(w1, w2, field, dot, EMISSION)
 
 
 def test_singular_detuning_raises(dot):
     # park photon 1 exactly on the conduction-p resonance
-    con = default_intermediate_states(dot)[0]
-    w1 = con.energy_above_ground
+    w1 = AngularFrequency(dot.omega_d.rad_per_s + dot.omega_e.rad_per_s)
     w2 = AngularFrequency(1e14)
     with pytest.raises(SingularDetuningError) as err:
-        intermediate_detunings(w1, w2, dot)
+        m12(w1, w2, LateralField(0.3 * V_PER_UM), dot)
     assert "conduction-p" in str(err.value)
     assert "photon-1-first" in str(err.value)
 
 
 def test_min_detuning_default_floor(dot):
-    con = default_intermediate_states(dot)[0]
+    con = dot.omega_d.rad_per_s + dot.omega_e.rad_per_s
     w2 = AngularFrequency(1e14)
-    above = AngularFrequency(con.energy_above_ground.rad_per_s - 1e10)
-    intermediate_detunings(above, w2, dot)    # above the 1e9 floor: fine
-    below = AngularFrequency(con.energy_above_ground.rad_per_s - 1e8)
+    field = LateralField(0.3 * V_PER_UM)
+    above = AngularFrequency(con - 1e10)
+    m12(above, w2, field, dot)    # above the 1e9 floor: fine
+    below = AngularFrequency(con - 1e8)
     with pytest.raises(SingularDetuningError) as err:
-        intermediate_detunings(below, w2, dot)
+        m12(below, w2, field, dot)
     assert f"floor {DEFAULT_MIN_DETUNING:.3e} rad/s" in str(err.value)
 
 
@@ -171,7 +177,7 @@ def test_m12_hand_assembled(dot, experiment):
     w2 = experiment.mode2.omega_c
     product = dipole_product_sp(field, dot)
     total = 0.0
-    for d1, d2 in intermediate_detunings(w1, w2, dot):
+    for d1, d2 in _denominators(dot, w1, w2):
         total += 1.0 / d1 + 1.0 / d2
     assert m12(w1, w2, field, dot) == pytest.approx(abs(product * total), rel=1e-14)
 
@@ -184,16 +190,12 @@ def test_m12_exchange_symmetric(dot, experiment):
 
 
 @pytest.mark.parametrize("psi1,psi2", [(0.5, 0.5), (0.3, 0.8)])
-def test_m12_psi_factors_scale_terms(dot, experiment, psi1, psi2):
-    # one overlap per photon: M12 and Omega_eff scale by psi1 psi2, the
+def test_psi_factors_scale_rates(dot, experiment, psi1, psi2):
+    # one overlap per photon leg: Omega_eff scales by psi1 psi2, the
     # emission rates (two legs squared) by (psi1 psi2)^2
     field = LateralField(0.5 * V_PER_UM)
     w1 = experiment.mode1.omega_c
     w2 = experiment.mode2.omega_c
-    base = m12(w1, w2, field, dot)
-    scaled = m12(w1, w2, field, dot, psi1=psi1, psi2=psi2)
-    assert scaled == pytest.approx(psi1 * psi2 * base, rel=1e-14)
-
     volume = experiment.mode1.volume
     ch1, ch2 = PhotonChannel(w1, volume, 3.0), PhotonChannel(w2, volume, 5.0)
     ch1_psi = PhotonChannel(w1, volume, 3.0, psi=psi1)
