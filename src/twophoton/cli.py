@@ -86,7 +86,15 @@ def _cmd_enhancement(args) -> int:
                               f"squares it, got {mode.quality!r}") from exc
     values["F1F2"] = values["F1"] * values["F2"]
     values["G1G2"] = values["G1"] * values["G2"]
-    for name in ("F1", "F2", "F1F2", "G1", "G2", "G1G2"):
+    names = ("F1", "F2", "F1F2", "G1", "G2", "G1G2")
+    for name in names:
+        if not math.isfinite(values[name]):
+            # the modes a value depends on: F1 -> 1, F1F2 -> 1 and 2
+            flags = [flag for i in name[1::2]
+                     for flag in (f"--q{i}", f"--v{i}-cubic-wavelengths")]
+            raise ConfigError(f"{name} = {values[name]!r} is not finite; it is set by "
+                              f"{', '.join(flags[:-1])} and {flags[-1]}")
+    for name in names:
         print(f"{name} = {values[name]:.6e}")
     return 0
 

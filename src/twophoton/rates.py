@@ -32,7 +32,7 @@ independent and can run in parallel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -166,9 +166,6 @@ class RateReport:
             if not math.isfinite(value) or value < 0.0:
                 raise ValueError(f"report field {name} must be finite and "
                                  f"nonnegative, got {value!r}")
-
-
-RateReport._FIELDS = tuple(f.name for f in fields(RateReport))
 
 
 @dataclass(frozen=True)
@@ -389,15 +386,12 @@ def tpse_total_fixed(model: QuantumDotModel, field: LateralField, environment: s
 
 
 def tpse_total(model: QuantumDotModel, field: LateralField, environment: str = "bulk",
-               mode1: CavityMode | None = None, mode2: CavityMode | None = None,
-               initial_intervals: int | None = None,
-               rel_change: float = 1e-3) -> float:
+               mode1: CavityMode | None = None, mode2: CavityMode | None = None) -> float:
     """Total spontaneous two-photon rate, 1/s: the spectral density integrated
-    over the emitted-frequency half-axis, doubling the trapezoid grid until
-    successive estimates agree to rel_change (default 0.1%). Raises
+    over the emitted-frequency half-axis, doubling the trapezoid grid from
+    _initial_intervals until successive estimates agree to 0.1%. Raises
     QuadratureError with the best estimate if the interval cap is hit first."""
-    intervals = initial_intervals if initial_intervals is not None \
-        else _initial_intervals(model, environment, mode1, mode2)
+    intervals = _initial_intervals(model, environment, mode1, mode2)
     previous = tpse_total_fixed(model, field, environment, intervals, mode1, mode2)
     while True:
         intervals *= 2
@@ -406,7 +400,7 @@ def tpse_total(model: QuantumDotModel, field: LateralField, environment: str = "
         if scale == 0.0:       # identically zero integrand (zero field)
             return 0.0
         change = abs(current - previous) / scale
-        if change < rel_change:
+        if change < 1e-3:
             return current
         if intervals >= MAX_QUADRATURE_INTERVALS:
             raise QuadratureError(current, change, intervals)

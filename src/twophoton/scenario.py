@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -95,22 +95,17 @@ class SpectralRow:
                                  f"and nonnegative, got {value!r}")
 
 
-SpectralRow._FIELDS = tuple(f.name for f in fields(SpectralRow))
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Validated, preset-expanded sweep description plus the built
     experiment. `resolved` is the post-merge plain dict that config_hash
-    is the SHA-256 of."""
+    is the SHA-256 of; `grid` holds the swept values in the config unit
+    (V/um for field, rad/s for omega2)."""
 
     resolved: dict
     experiment: Experiment
     sweep_variable: str
-    sweep_min: float
-    sweep_max: float
-    sweep_points: int
-    sweep_log: bool
+    grid: tuple
     sweep_field_v_per_um: float | None
     output_path: str | None
     output_format: str
@@ -241,7 +236,7 @@ def _entries(config: dict, name: str) -> list[tuple[str, object]]:
 
 def _check_sweep(sweep: dict, drives: list) -> dict:
     """sweep's keys and the rules that tie them to each other and to the
-    drives; returns the sweep fields of ScenarioConfig."""
+    drives; returns the sweep fields of ScenarioConfig, the grid built."""
     rules = _SCHEMA["sweep"]
     variable = sweep.get("variable")
     if variable not in ("field", "omega2"):
@@ -274,9 +269,11 @@ def _check_sweep(sweep: dict, drives: list) -> dict:
             if "spot_area_um2" not in drives[i]:
                 raise ConfigError(f"drives[{i}].spot_area_um2 is required by field "
                                   f"sweeps (the G1*G2 column)")
-    return {"sweep_variable": variable, "sweep_min": float(low),
-            "sweep_max": float(high), "sweep_points": int(points),
-            "sweep_log": log, "sweep_field_v_per_um": hold}
+        if not math.isfinite(high * 1e6):
+            raise ConfigError(f"sweep.max must be finite in V/m, got {high!r}")
+    space = np.geomspace if log else np.linspace
+    grid = tuple(space(float(low), float(high), int(points)).tolist())
+    return {"sweep_variable": variable, "grid": grid, "sweep_field_v_per_um": hold}
 
 
 def _check_output(out: dict) -> dict:
@@ -389,59 +386,42 @@ def load_config(source: str | Path,
 # --- execution --------------------------------------------------------------
 
 
-def _grid(config: ScenarioConfig) -> list[float]:
-    space = np.geomspace if config.sweep_log else np.linspace
-    return space(config.sweep_min, config.sweep_max, config.sweep_points).tolist()
+def _field_point(e_v_per_um: float, config: ScenarioConfig) -> RateReport:
+    return evaluate_point(e_v_per_um * 1e6, config.experiment)
 
 
-def _run_field_sweep(config: ScenarioConfig) -> tuple:
-    rows = []
-    for i, e_v_per_um in enumerate(_grid(config)):
-        try:
-            rows.append(evaluate_point(e_v_per_um * 1e6, config.experiment))
-        except (ValueError, ArithmeticError) as exc:
-            raise SweepError(i, "field_V_per_um", e_v_per_um, _reason(exc)) from exc
-    return tuple(rows)
-
-
-def _run_omega2_sweep(config: ScenarioConfig) -> tuple:
+def _omega2_point(w2: float, config: ScenarioConfig) -> tuple[float, float]:
+    """Emitted power densities at w2, cavity and bulk, W s/rad."""
     ex = config.experiment
-    field = LateralField(config.sweep_field_v_per_um * 1e6)
-    grid, cavity, bulk = _grid(config), [], []
-    for i, w2 in enumerate(grid):
-        omega2 = AngularFrequency(w2)
-        try:
-            # emitted power density, W s/rad
-            cav = HBAR * w2 * tpse_spectral_density_cavity(
-                omega2, ex.dot, field, ex.mode1, ex.mode2)
-            blk = HBAR * w2 * tpse_spectral_density_bulk(omega2, ex.dot, field)
-        except (ValueError, ArithmeticError) as exc:
-            raise SweepError(i, "omega2_rad_per_s", w2, _reason(exc)) from exc
-        if not (math.isfinite(cav) and math.isfinite(blk)):
-            raise SweepError(i, "omega2_rad_per_s", w2, f"emitted power density is "
-                             f"not finite (cavity {cav!r}, bulk {blk!r})")
-        cavity.append(cav)
-        bulk.append(blk)
-    peak = max(bulk)
-    if peak > 0.0:
-        cavity = [c / peak for c in cavity]
-        bulk = [b / peak for b in bulk]
-    return tuple(map(SpectralRow, grid, cavity, bulk))
+    omega2, field = AngularFrequency(w2), LateralField(config.sweep_field_v_per_um * 1e6)
+    cavity = HBAR * w2 * tpse_spectral_density_cavity(omega2, ex.dot, field,
+                                                      ex.mode1, ex.mode2)
+    bulk = HBAR * w2 * tpse_spectral_density_bulk(omega2, ex.dot, field)
+    if not (math.isfinite(cavity) and math.isfinite(bulk)):
+        raise ValueError(f"emitted power density is not finite "
+                         f"(cavity {cavity!r}, bulk {bulk!r})")
+    return cavity, bulk
 
 
 def run_sweep(config: ScenarioConfig) -> SweepResult:
     """Evaluate the configured sweep. Deterministic for a fixed config;
     singular grid points surface as SweepError naming the point."""
-    if config.sweep_variable == "field":
-        rows = _run_field_sweep(config)
-    else:
-        rows = _run_omega2_sweep(config)
-    return SweepResult(
-        rows=rows,
-        sweep_variable=config.sweep_variable,
-        config_hash=config.config_hash,
-        constants_version=CONSTANTS_VERSION,
-    )
+    variable = config.sweep_variable
+    point = _field_point if variable == "field" else _omega2_point
+    swept = _COLUMNS[variable][1][0][0]
+    rows = []
+    for i, x in enumerate(config.grid):
+        try:
+            rows.append(point(x, config))
+        except (ValueError, ArithmeticError) as exc:
+            raise SweepError(i, swept, x, _reason(exc)) from exc
+    if variable == "omega2":
+        # in units of the bulk peak; an all-zero spectrum (zero field) stays zero
+        peak = max(bulk for _, bulk in rows) or 1.0
+        rows = [SpectralRow(w2, cavity / peak, bulk / peak)
+                for w2, (cavity, bulk) in zip(config.grid, rows)]
+    return SweepResult(rows=tuple(rows), sweep_variable=variable,
+                       config_hash=config.config_hash, constants_version=CONSTANTS_VERSION)
 
 
 def reproduce_fig3a(preset: str = "paper-fig3") -> SweepResult:
@@ -470,11 +450,22 @@ def reproduce_fig3b(preset: str = "paper-fig3") -> SweepResult:
 # --- serialization ----------------------------------------------------------
 
 
-_CSV_HEADERS = {
-    "field": ("field_V_per_um", "omega_eff_over_2pi_Hz", "gamma_opse_over_2pi_Hz",
-              "gamma_tpste_over_2pi_Hz", "tpse_spectral_density",
-              "enhancement_tpse", "enhancement_tpa"),
-    "omega2": SpectralRow._FIELDS,
+# sweep variable -> (row type, columns); a column is (CSV header, row field,
+# divisor from the field's SI unit to the CSV unit). The first column is the
+# swept one, which SweepError names. JSON rows carry the fields in SI units.
+_COLUMNS = {
+    "field": (RateReport, (
+        ("field_V_per_um", "field_strength", 1e6),
+        ("omega_eff_over_2pi_Hz", "omega_eff_over_2pi", 1.0),
+        ("gamma_opse_over_2pi_Hz", "gamma_opse_over_2pi", 1.0),
+        ("gamma_tpste_over_2pi_Hz", "gamma_tpste_over_2pi", 1.0),
+        ("tpse_spectral_density", "tpse_spectral_density", 1.0),
+        ("enhancement_tpse", "enhancement_tpse", 1.0),
+        ("enhancement_tpa", "enhancement_tpa", 1.0))),
+    "omega2": (SpectralRow, (
+        ("omega2_rad_per_s", "omega2_rad_per_s", 1.0),
+        ("tpse_power_cavity_rel", "tpse_power_cavity_rel", 1.0),
+        ("tpse_power_bulk_rel", "tpse_power_bulk_rel", 1.0))),
 }
 
 
@@ -483,26 +474,19 @@ def _fmt(value: float) -> str:
     return format(value, ".16e")
 
 
-def _csv_values(row, variable: str) -> tuple:
-    if variable == "field":
-        return (row.field_strength / 1e6, row.omega_eff_over_2pi,
-                row.gamma_opse_over_2pi, row.gamma_tpste_over_2pi,
-                row.tpse_spectral_density, row.enhancement_tpse,
-                row.enhancement_tpa)
-    return tuple(getattr(row, name) for name in SpectralRow._FIELDS)
-
-
 def result_to_csv_text(result: SweepResult) -> str:
-    lines = [",".join(_CSV_HEADERS[result.sweep_variable])]
+    columns = _COLUMNS[result.sweep_variable][1]
+    lines = [",".join(header for header, _, _ in columns)]
     for row in result.rows:
-        lines.append(",".join(_fmt(v) for v in _csv_values(row, result.sweep_variable)))
+        lines.append(",".join(_fmt(getattr(row, name) / divisor)
+                              for _, name, divisor in columns))
     return "\n".join(lines) + "\n"
 
 
 def result_to_json_text(result: SweepResult) -> str:
     # hand-rolled so every float carries 17 significant digits; json.dumps
     # offers no hook for float formatting
-    row_type = RateReport if result.sweep_variable == "field" else SpectralRow
+    columns = _COLUMNS[result.sweep_variable][1]
     lines = [
         "{",
         f'  "config_hash": {json.dumps(result.config_hash)},',
@@ -513,7 +497,7 @@ def result_to_json_text(result: SweepResult) -> str:
     last = len(result.rows) - 1
     for i, row in enumerate(result.rows):
         body = ", ".join(f'"{name}": {_fmt(getattr(row, name))}'
-                         for name in row_type._FIELDS)
+                         for _, name, _ in columns)
         lines.append("    {" + body + "}" + ("," if i < last else ""))
     lines.append("  ]")
     lines.append("}")
@@ -525,8 +509,8 @@ def parse_json_text(text: str) -> SweepResult:
     the one serialized."""
     data = json.loads(text)
     variable = data["sweep_variable"]
-    row_type = RateReport if variable == "field" else SpectralRow
-    rows = tuple(row_type(**{name: float(entry[name]) for name in row_type._FIELDS})
+    row_type, columns = _COLUMNS[variable]
+    rows = tuple(row_type(**{name: float(entry[name]) for _, name, _ in columns})
                  for entry in data["rows"])
     return SweepResult(rows=rows, sweep_variable=variable,
                        config_hash=data["config_hash"],

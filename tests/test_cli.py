@@ -80,8 +80,9 @@ def test_omega2_sweep_nonpositive_min_exits_2(tmp_path, capsys):
     ("dot:\n  wavelength_nm: 2400.0\n", "drives[1].omega_rad_per_s"),
     ("modes: 3\n", "modes must list"),
     ("dot:\n  wavelength_nm: 1.0e-320\n", "dot: wavelength must be positive"),
+    ("sweep:\n  max: 1.0e+308\n", "sweep.max must be finite in V/m"),
 ], ids=["drive-past-dot-line", "dot-line-below-drives", "modes-not-a-list",
-        "dot-line-underflows"])
+        "dot-line-underflows", "field-sweep-max-overflows-in-v-per-m"])
 def test_config_error_exits_2(tmp_path, capsys, override, fragment):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("preset: paper-fig3\n" + override)
@@ -178,6 +179,23 @@ def test_enhancement_overflowing_quality_exits_2(capsys):
     assert main(["enhancement", "--q1", "1e308", "--q2", "5000",
                  "--v1-cubic-wavelengths", "1", "--v2-cubic-wavelengths", "1"]) == 2
     assert capsys.readouterr().err.startswith("error: --q1 overflows")
+
+
+@pytest.mark.parametrize("q1,q2,v1,v2,message", [
+    # F1 overflows: a huge Q (its square still finite) in a tiny volume
+    ("1e150", "5000", "1e-160", "1",
+     "error: F1 = inf is not finite; it is set by --q1 and --v1-cubic-wavelengths\n"),
+    # each factor is finite, their product is not
+    ("1e150", "1e150", "1e-10", "1e-10",
+     "error: F1F2 = inf is not finite; it is set by --q1, --v1-cubic-wavelengths, "
+     "--q2 and --v2-cubic-wavelengths\n"),
+], ids=["F1", "F1F2"])
+def test_enhancement_nonfinite_value_names_its_flags(capsys, q1, q2, v1, v2, message):
+    assert main(["enhancement", "--q1", q1, "--q2", q2,
+                 "--v1-cubic-wavelengths", v1, "--v2-cubic-wavelengths", v2]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == message
 
 
 def test_unknown_preset_exits_2(capsys):

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from twophoton import rates
 from twophoton.cavity import BulkHost, CavityMode, mode_at_wavelength, purcell_factor
 from twophoton.quantities import (
     AngularFrequency,
@@ -348,10 +349,14 @@ def test_tpse_total_zero_field(dot, experiment):
                       mode1=experiment.mode1) == 0.0
 
 
-def test_tpse_total_budget_exhaustion_raises(dot):
+def test_tpse_total_budget_exhaustion_raises(dot, experiment, monkeypatch):
+    # a cap of 4096 panels: the double total starts at 1024 and has not
+    # converged when the doubling reaches the cap
+    cap = 2**12
+    monkeypatch.setattr(rates, "MAX_QUADRATURE_INTERVALS", cap)
     with pytest.raises(QuadratureError) as err:
-        tpse_total(dot, F075, "bulk", initial_intervals=4, rel_change=0.0)
-    assert err.value.points == 2**20
+        tpse_total(dot, F075, "double", mode1=experiment.mode1, mode2=experiment.mode2)
+    assert err.value.points == cap
     assert err.value.achieved > 0.0
 
 

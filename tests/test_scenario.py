@@ -2,6 +2,7 @@
 deterministic serialization."""
 
 import copy
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 from twophoton.presets import preset_config
 from twophoton.scenario import (
+    _COLUMNS,
     _KEYS,
     MAX_SWEEP_POINTS,
     ConfigError,
@@ -106,7 +108,7 @@ def test_default_preset_applies_only_without_explicit_one():
     cfg = config_from_dict(copy.deepcopy(FIVE_POINT["sweep"] and
                                          {"sweep": FIVE_POINT["sweep"]}),
                            default_preset="paper-fig3")
-    assert cfg.sweep_points == 5
+    assert len(cfg.grid) == 5
     with pytest.raises(ConfigError, match="preset"):
         config_from_dict({"preset": "other"}, default_preset="paper-fig3")
 
@@ -183,6 +185,8 @@ REJECTIONS = [
     (("sweep",), {"variable": "omega2", "min": 1.0e15, "max": 1.1e15, "points": 3,
                   "field_v_per_um": 1.0e308},
      "sweep.field_v_per_um must be finite in V/m"),
+    # a field sweep's grid is converted to V/m point by point
+    (("sweep", "max"), 1.0e308, "sweep.max must be finite in V/m"),
 ]
 
 
@@ -278,7 +282,8 @@ def test_log_spacing_needs_positive_min():
         config_from_dict(cfg)
     cfg["sweep"]["min"] = 0.1
     grid_cfg = config_from_dict(cfg)
-    assert grid_cfg.sweep_log is True
+    assert list(grid_cfg.grid) == np.geomspace(0.1, cfg["sweep"]["max"],
+                                               cfg["sweep"]["points"]).tolist()
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -304,6 +309,27 @@ def test_readme_schema_block_loads_and_names_every_key():
         section.update(re.findall(r"# or (\w+) \(exactly one\)", line))
     documented.pop("preset")
     assert documented == _KEYS
+
+
+def _readme_output_tables() -> dict:
+    """(CSV column, JSON key, unit) rows of each `### <variable> sweep`
+    table in README's Output section, by sweep variable."""
+    section = README.read_text().split("\n## Output\n", 1)[1].split("\n## ", 1)[0]
+    return {block.split(" ", 1)[0].lower():
+            re.findall(r"^\| `(\w+)` +\| `(\w+)` +\| (.+?) +\|$", block, re.M)
+            for block in section.split("\n### ")[1:]}
+
+
+def test_readme_output_tables_match_the_columns():
+    tables = _readme_output_tables()
+    assert set(tables) == set(_COLUMNS)
+    for variable, (_, columns) in _COLUMNS.items():
+        documented = tables[variable]
+        assert [(header, key) for header, key, _ in documented] == \
+            [(header, name) for header, name, _ in columns]
+        # a column whose CSV unit is not the JSON row's SI unit names both
+        for (_, _, unit), (_, _, divisor) in zip(documented, columns):
+            assert ("in CSV" in unit) == (divisor != 1.0)
 
 
 # --- sweep execution --------------------------------------------------------
@@ -391,6 +417,22 @@ def test_omega2_sweep_nonfinite_density_names_grid_point():
         run_sweep(config_from_dict(cfg))
 
 
+def test_mode_volume_m3_is_taken_as_given():
+    cfg = preset_config("paper-fig3")
+    cfg["sweep"]["points"] = 3
+    base = config_from_dict(copy.deepcopy(cfg))
+    del cfg["modes"][1]["volume_cubic_wavelengths"]
+    cfg["modes"][1]["volume_m3"] = 2.5e-19
+    config = config_from_dict(cfg)
+    assert config.experiment.mode2.volume == 2.5e-19
+    result = run_sweep(config)
+    assert len(result.rows) == 3
+    # F2, so F1*F2, goes as 1/V2
+    assert result.rows[-1].enhancement_tpse == pytest.approx(
+        run_sweep(base).rows[-1].enhancement_tpse * base.experiment.mode2.volume / 2.5e-19,
+        rel=1e-12)
+
+
 def test_omega2_sweep_needs_no_spot_area():
     # only the field sweep's G1*G2 column uses the bulk beams
     cfg = preset_config("paper-fig3")
@@ -421,8 +463,8 @@ def test_fig3a_shape():
     assert result.rows[0].field_strength == 0.0
     assert result.rows[-1].field_strength == pytest.approx(2e6, rel=1e-15)
     for row in result.rows:
-        for name in row._FIELDS:
-            value = getattr(row, name)
+        for field in dataclasses.fields(row):
+            value = getattr(row, field.name)
             assert math.isfinite(value) and value >= 0.0
 
 

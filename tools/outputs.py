@@ -1,0 +1,128 @@
+"""Write the canonical twophoton outputs, or compare two sets of them.
+
+    python3 tools/outputs.py write DIR
+    python3 tools/outputs.py diff A B
+
+`write` runs the CLI in process and writes into DIR: fig3a.csv,
+fig3b.csv, enhancement.txt, and a log field sweep and a log omega2 sweep
+of the paper-fig3 preset, each as .csv and .json. It uses the twophoton
+package found on sys.path (set PYTHONPATH to pick a checkout's src/) and
+prints the package path it used to stderr.
+
+`diff` prints `identical` for each file whose bytes match. For each file
+that differs it prints, per CSV column (per row key for JSON), how many
+rows changed and the largest relative change; for other files, a
+unified diff of their lines. Exits 1 if any file differs or exists on
+one side only. Standard library only.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import difflib
+import io
+import json
+import sys
+from pathlib import Path
+
+ENHANCEMENT = ["enhancement", "--q1", "5000", "--q2", "12000",
+               "--v1-cubic-wavelengths", "1", "--v2-cubic-wavelengths", "0.7"]
+# log grids: 0.01-2 V/um, and +-4 mode-2 linewidths around 8.189e14 rad/s
+SWEEPS = {
+    "field-log": {"variable": "field", "min": 0.01, "max": 2.0, "points": 60,
+                  "log": True},
+    "omega2-log": {"variable": "omega2", "min": 8.18266e14, "max": 8.19577e14,
+                   "points": 81, "log": True},
+}
+
+
+def _cli_output(argv: list[str]) -> str:
+    from twophoton import cli
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"twophoton {' '.join(argv[:1])} exited {code}")
+    return out.getvalue()
+
+
+def write(directory: Path) -> int:
+    import twophoton
+
+    print(f"twophoton from {Path(twophoton.__file__).parent}", file=sys.stderr)
+    directory.mkdir(parents=True, exist_ok=True)
+    outputs = {"fig3a.csv": ["fig3a"], "fig3b.csv": ["fig3b"],
+               "enhancement.txt": ENHANCEMENT}
+    for name, sweep in SWEEPS.items():
+        # inline YAML text (JSON is YAML); the indent puts it on several lines
+        config = json.dumps({"preset": "paper-fig3", "sweep": sweep}, indent=1)
+        for fmt in ("csv", "json"):
+            outputs[f"{name}.{fmt}"] = ["sweep", "--config", config, "--format", fmt]
+    for name, argv in outputs.items():
+        (directory / name).write_text(_cli_output(argv))
+        print(f"wrote {directory / name}")
+    return 0
+
+
+def _table(path: Path) -> dict[str, list[float]]:
+    """Numeric columns of a sweep output, by CSV header or JSON row key."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        rows = json.loads(text)["rows"]
+    else:
+        rows = list(csv.DictReader(io.StringIO(text)))
+    return {key: [float(row[key]) for row in rows] for key in (rows[0] if rows else ())}
+
+
+def _relative(a: float, b: float) -> float:
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if scale else 0.0
+
+
+def _report(a: Path, b: Path) -> list[str]:
+    if a.suffix not in (".csv", ".json"):
+        return list(difflib.unified_diff(a.read_text().splitlines(),
+                                         b.read_text().splitlines(), lineterm=""))
+    old, new = _table(a), _table(b)
+    if list(old) != list(new):
+        return [f"  columns differ: {list(old)} vs {list(new)}"]
+    lines = []
+    for key, values in old.items():
+        if len(values) != len(new[key]):
+            return [f"  row count differs: {len(values)} vs {len(new[key])}"]
+        changed = [_relative(x, y) for x, y in zip(values, new[key]) if x != y]
+        lines.append(f"  {key}: {len(changed)} of {len(values)} rows changed, "
+                     f"max rel {max(changed, default=0.0):.2e}")
+    return lines
+
+
+def diff(a: Path, b: Path) -> int:
+    names = sorted({p.name for p in a.iterdir()} | {p.name for p in b.iterdir()})
+    differs = False
+    for name in names:
+        left, right = a / name, b / name
+        if not (left.exists() and right.exists()):
+            print(f"{name}: only in {a if left.exists() else b}")
+            differs = True
+        elif left.read_bytes() == right.read_bytes():
+            print(f"{name}: identical")
+        else:
+            print(f"{name}: differs")
+            print("\n".join(_report(left, right)))
+            differs = True
+    return 1 if differs else 0
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "write":
+        return write(Path(argv[1]))
+    if len(argv) == 3 and argv[0] == "diff":
+        return diff(Path(argv[1]), Path(argv[2]))
+    print(__doc__.split("\n\n")[1], file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
