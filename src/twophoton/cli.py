@@ -6,8 +6,8 @@
     twophoton enhancement --q1 5000 --q2 5000 \
         --v1-cubic-wavelengths 1 --v2-cubic-wavelengths 1
 
-`--preset` (default paper-fig3) is accepted everywhere: sweep uses it when
-the config file names no preset itself; the fig3 commands run it directly;
+Every subcommand works on the paper-fig3 preset: sweep merges a config
+that names no preset onto it; the fig3 commands run it directly;
 enhancement takes wavelengths, couplings and spot areas from it. Exit codes:
 0 success, 2 config/usage error, 1 runtime failure; errors name the field
 or grid point responsible.
@@ -20,8 +20,9 @@ import math
 import sys
 
 from .cavity import purcell_factor
+from .presets import PRESET
 from .quantities import angular_frequency_to_wavelength
-from .rates import QuadratureError, _tpa_enhancement
+from .rates import _tpa_enhancement
 from .scenario import (
     OUTPUT_FORMATS,
     ConfigError,
@@ -46,21 +47,14 @@ def _emit(result, fmt: str, path: str | None) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    config = load_config(args.config, default_preset=args.preset)
-    result = run_sweep(config)
-    fmt = args.format or config.output_format
-    path = args.output or config.output_path
-    _emit(result, fmt, path)
+    config = load_config(args.config, default_preset=PRESET)
+    _emit(run_sweep(config), args.format or config.output_format,
+          args.output or config.output_path)
     return 0
 
 
-def _cmd_fig3a(args) -> int:
-    _emit(reproduce_fig3a(args.preset), "csv", args.output)
-    return 0
-
-
-def _cmd_fig3b(args) -> int:
-    _emit(reproduce_fig3b(args.preset), "csv", args.output)
+def _cmd_figure(args) -> int:
+    _emit(args.figure(), "csv", args.output)
     return 0
 
 
@@ -72,7 +66,7 @@ def _cmd_enhancement(args) -> int:
             raise ConfigError(f"{name} must be positive and finite, got {value!r}")
     modes = [{"quality": args.q1, "volume_cubic_wavelengths": args.v1_cubic_wavelengths},
              {"quality": args.q2, "volume_cubic_wavelengths": args.v2_cubic_wavelengths}]
-    ex = config_from_dict({"preset": args.preset, "modes": modes}).experiment
+    ex = config_from_dict({"preset": PRESET, "modes": modes}).experiment
     host = ex.dot.host
     values = {}
     for i, mode, drive in ((1, ex.mode1, ex.drive1), (2, ex.mode2, ex.drive2)):
@@ -88,11 +82,13 @@ def _cmd_enhancement(args) -> int:
     values["G1G2"] = values["G1"] * values["G2"]
     names = ("F1", "F2", "F1F2", "G1", "G2", "G1G2")
     for name in names:
-        if not math.isfinite(values[name]):
+        value = values[name]
+        if not (math.isfinite(value) and value > 0.0):
             # the modes a value depends on: F1 -> 1, F1F2 -> 1 and 2
             flags = [flag for i in name[1::2]
                      for flag in (f"--q{i}", f"--v{i}-cubic-wavelengths")]
-            raise ConfigError(f"{name} = {values[name]!r} is not finite; it is set by "
+            check = "positive" if math.isfinite(value) else "finite"
+            raise ConfigError(f"{name} = {value!r} is not {check}; it is set by "
                               f"{', '.join(flags[:-1])} and {flags[-1]}")
     for name in names:
         print(f"{name} = {values[name]:.6e}")
@@ -106,27 +102,19 @@ def _build_parser() -> argparse.ArgumentParser:
                     "quantum dot under a lateral electric field.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--preset", default="paper-fig3",
-                       help="parameter preset (default: paper-fig3)")
-
     p_sweep = sub.add_parser("sweep", help="run the sweep described by a config file")
     p_sweep.add_argument("--config", required=True, help="YAML config path")
     p_sweep.add_argument("--output", help="output path (default: stdout or config)")
     p_sweep.add_argument("--format", choices=tuple(OUTPUT_FORMATS),
                          help="output format (default: config or csv)")
-    add_common(p_sweep)
     p_sweep.set_defaults(handler=_cmd_sweep)
 
-    p_a = sub.add_parser("fig3a", help="rate curves vs lateral field, 0-2 V/um")
-    p_a.add_argument("--output", help="CSV path (default: stdout)")
-    add_common(p_a)
-    p_a.set_defaults(handler=_cmd_fig3a)
-
-    p_b = sub.add_parser("fig3b", help="emitted-power spectrum across mode 2")
-    p_b.add_argument("--output", help="CSV path (default: stdout)")
-    add_common(p_b)
-    p_b.set_defaults(handler=_cmd_fig3b)
+    for name, figure, text in (
+            ("fig3a", reproduce_fig3a, "rate curves vs lateral field, 0-2 V/um"),
+            ("fig3b", reproduce_fig3b, "emitted-power spectrum across mode 2")):
+        p_fig = sub.add_parser(name, help=text)
+        p_fig.add_argument("--output", help="CSV path (default: stdout)")
+        p_fig.set_defaults(handler=_cmd_figure, figure=figure)
 
     p_e = sub.add_parser("enhancement",
                          help="print Purcell and absorption enhancement factors")
@@ -136,7 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="mode-1 volume in (lambda/n)^3 units")
     p_e.add_argument("--v2-cubic-wavelengths", type=float, required=True,
                      help="mode-2 volume in (lambda/n)^3 units")
-    add_common(p_e)
     p_e.set_defaults(handler=_cmd_enhancement)
     return parser
 
@@ -145,12 +132,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
+    except (ConfigError, SweepError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SweepError, OutputError, QuadratureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

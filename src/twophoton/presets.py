@@ -1,15 +1,15 @@
-"""Built-in parameter presets.
+"""The built-in parameter preset.
 
-"paper-fig3" is the InGaAs-dot-in-GaAs working point used throughout the
-test suite: 926 nm dot transition, 12/6 meV electron/hole lateral
-confinement, a 1550 nm telecom mode and its energy-conserving partner,
-Q = 5000 and single-cubic-wavelength volumes for both modes, 2%
-in-coupling, 12 uW absorption drives over a 1 um^2 spot, and a 100 uW
-stimulation drive.
+PRESET, "paper-fig3", is the one preset: the InGaAs-dot-in-GaAs working
+point that fig3a and fig3b sweep and the test suite uses: 926 nm dot
+transition, 12/6 meV electron/hole lateral confinement, a 1550 nm
+telecom mode and its energy-conserving partner, Q = 5000 and
+single-cubic-wavelength volumes for both modes, 2% in-coupling, 12 uW
+absorption drives over a 1 um^2 spot, and a 100 uW stimulation drive.
 
-Presets are plain dicts in the scenario-config schema so user configs can
-override any single value; build_experiment turns a resolved dict into the
-typed objects the rate functions take.
+The preset is a plain dict in the scenario-config schema so user configs
+can override any single value; build_experiment turns a resolved dict into
+the typed objects the rate functions take.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .quantities import (
 from .rates import DriveField, Experiment, Linewidth
 from .stark import QuantumDotModel
 
-__all__ = ["PRESET_NAMES", "build_experiment", "preset_config"]
+__all__ = ["PRESET", "PRESET_NAMES", "build_experiment", "preset_config"]
 
 _DOT_WAVELENGTH_NM = 926.0
 _PUMP_WAVELENGTH_NM = 1550.0
@@ -79,18 +79,15 @@ def _paper_fig3() -> dict:
     }
 
 
-_PRESETS = {"paper-fig3": _paper_fig3}
-PRESET_NAMES = tuple(sorted(_PRESETS))
+PRESET = "paper-fig3"
+PRESET_NAMES = (PRESET,)
 
 
 def preset_config(name: str) -> dict:
     """The named preset's full config dict, built fresh on every call."""
-    try:
-        builder = _PRESETS[name]
-    except KeyError:
-        known = ", ".join(PRESET_NAMES)
-        raise ValueError(f"unknown preset {name!r}; known presets: {known}") from None
-    return builder()
+    if name != PRESET:
+        raise ValueError(f"unknown preset {name!r}; known presets: {PRESET}")
+    return _paper_fig3()
 
 
 def _entry_omega(entry: dict) -> AngularFrequency:
@@ -100,16 +97,14 @@ def _entry_omega(entry: dict) -> AngularFrequency:
 
 
 def _build_mode(entry: dict, host: BulkHost) -> CavityMode:
-    omega, volume = _entry_omega(entry), entry.get("volume_m3")
-    if volume is None:
-        # centre and volume as mode_at_wavelength sets them
-        sized = mode_at_wavelength(
-            angular_frequency_to_wavelength(omega), host, entry["quality"],
-            volume_cubic_wavelengths=entry["volume_cubic_wavelengths"])
-        omega, volume = sized.omega_c, sized.volume
+    omega = _entry_omega(entry)
     overlaps = {key: entry[key] for key in ("eta", "psi") if key in entry}
-    return CavityMode(omega_c=omega, quality=entry["quality"], volume=volume,
-                      **overlaps)
+    if "volume_m3" in entry:
+        return CavityMode(omega_c=omega, quality=entry["quality"],
+                          volume=entry["volume_m3"], **overlaps)
+    return mode_at_wavelength(
+        angular_frequency_to_wavelength(omega), host, entry["quality"],
+        volume_cubic_wavelengths=entry["volume_cubic_wavelengths"], **overlaps)
 
 
 def _build_drive(entry: dict) -> DriveField:

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .presets import PRESET_NAMES, _reason, build_experiment, preset_config
+from .presets import PRESET, PRESET_NAMES, _reason, build_experiment, preset_config
 from .quantities import CONSTANTS_VERSION, HBAR, AngularFrequency
 from .rates import (
     Experiment,
@@ -424,17 +424,17 @@ def run_sweep(config: ScenarioConfig) -> SweepResult:
                        config_hash=config.config_hash, constants_version=CONSTANTS_VERSION)
 
 
-def reproduce_fig3a(preset: str = "paper-fig3") -> SweepResult:
-    """Lateral-field sweep of the preset working point: 0 to 2 V/um over
-    200 points (paper-fig3's sweep), reporting all rate curves per point."""
-    return run_sweep(config_from_dict({"preset": preset}))
+def reproduce_fig3a() -> SweepResult:
+    """Lateral-field sweep of the paper-fig3 working point: 0 to 2 V/um over
+    200 points (the preset's sweep), reporting all rate curves per point."""
+    return run_sweep(config_from_dict({"preset": PRESET}))
 
 
-def reproduce_fig3b(preset: str = "paper-fig3") -> SweepResult:
-    """Emitted-power spectrum across the preset's mode-2 resonance at
+def reproduce_fig3b() -> SweepResult:
+    """Emitted-power spectrum across paper-fig3's mode-2 resonance at
     0.75 V/um: 401 points spanning 4 cavity linewidths each side of center,
     cavity and bulk environments normalized to the bulk in-window peak."""
-    mode2 = config_from_dict({"preset": preset}).experiment.mode2
+    mode2 = config_from_dict({"preset": PRESET}).experiment.mode2
     center = mode2.omega_c.rad_per_s
     width = center / mode2.quality
     sweep = {
@@ -444,7 +444,7 @@ def reproduce_fig3b(preset: str = "paper-fig3") -> SweepResult:
         "points": 401,
         "field_v_per_um": DEFAULT_FIG3B_FIELD_V_PER_UM,
     }
-    return run_sweep(config_from_dict({"preset": preset, "sweep": sweep}))
+    return run_sweep(config_from_dict({"preset": PRESET, "sweep": sweep}))
 
 
 # --- serialization ----------------------------------------------------------

@@ -1,4 +1,6 @@
+import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import twophoton
-from twophoton.cli import main
+from twophoton.cli import _build_parser, main
 from twophoton.scenario import parse_json_text, reproduce_fig3a, result_to_csv_text
 
 
@@ -136,11 +138,9 @@ def test_sweep_arithmetic_error_exits_1(tmp_path, capsys, path, value):
 def test_fig3a_deterministic_bytes(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    named = tmp_path / "named.csv"
     assert main(["fig3a", "--output", str(a)]) == 0
     assert main(["fig3a", "--output", str(b)]) == 0
-    assert main(["fig3a", "--preset", "paper-fig3", "--output", str(named)]) == 0
-    assert a.read_bytes() == b.read_bytes() == named.read_bytes()
+    assert a.read_bytes() == b.read_bytes()
     assert a.read_text() == result_to_csv_text(reproduce_fig3a())
 
 
@@ -189,7 +189,11 @@ def test_enhancement_overflowing_quality_exits_2(capsys):
     ("1e150", "1e150", "1e-10", "1e-10",
      "error: F1F2 = inf is not finite; it is set by --q1, --v1-cubic-wavelengths, "
      "--q2 and --v2-cubic-wavelengths\n"),
-], ids=["F1", "F1F2"])
+    # each factor is positive, their product underflows to zero
+    ("1", "1", "1e300", "1e300",
+     "error: F1F2 = 0.0 is not positive; it is set by --q1, --v1-cubic-wavelengths, "
+     "--q2 and --v2-cubic-wavelengths\n"),
+], ids=["F1", "F1F2", "F1F2-underflow"])
 def test_enhancement_nonfinite_value_names_its_flags(capsys, q1, q2, v1, v2, message):
     assert main(["enhancement", "--q1", q1, "--q2", q2,
                  "--v1-cubic-wavelengths", v1, "--v2-cubic-wavelengths", v2]) == 2
@@ -198,9 +202,25 @@ def test_enhancement_nonfinite_value_names_its_flags(capsys, q1, q2, v1, v2, mes
     assert err == message
 
 
-def test_unknown_preset_exits_2(capsys):
-    assert main(["fig3a", "--preset", "other"]) == 2
+def test_unknown_preset_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "other.yaml"
+    cfg.write_text("preset: other\n")
+    assert main(["sweep", "--config", str(cfg)]) == 2
     assert "preset" in capsys.readouterr().err
+
+
+def test_readme_cli_flags_match_the_parser():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = {}
+    for block in re.findall(r"^```\n(.*?)^```$", section, re.M | re.S):
+        command = block.split()[1]
+        documented[command] = set(re.findall(r"--[\w-]+", block))
+    subparsers = next(action for action in _build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    parsed = {name: {flag for action in sub._actions for flag in action.option_strings}
+              - {"-h", "--help"} for name, sub in subparsers.choices.items()}
+    assert documented == parsed
 
 
 def test_module_entry_point():

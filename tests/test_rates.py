@@ -371,6 +371,24 @@ def test_tpse_total_argument_errors(dot, experiment):
         tpse_total_fixed(dot, F075, "bulk", 1)
 
 
+@pytest.mark.parametrize("environment", ["bulk", "single", "double"])
+def test_tpse_total_fixed_peak_memory(dot, experiment, environment):
+    # only the interior nodes are evaluated, where the integrand is nonzero:
+    # the peak stays under 7.5 grid-sized float arrays
+    import tracemalloc
+
+    intervals = 2**16
+    kw = {"mode1": experiment.mode1, "mode2": experiment.mode2}
+    tpse_total_fixed(dot, F075, environment, 64, **kw)   # warm up imports and caches
+    tracemalloc.start()
+    try:
+        tpse_total_fixed(dot, F075, environment, intervals, **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * (intervals + 1)) < 7.5
+
+
 # --- driven rates -----------------------------------------------------------
 
 

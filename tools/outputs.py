@@ -5,7 +5,9 @@
 
 `write` runs the CLI in process and writes into DIR: fig3a.csv,
 fig3b.csv, enhancement.txt, and a log field sweep and a log omega2 sweep
-of the paper-fig3 preset, each as .csv and .json. It uses the twophoton
+of the paper-fig3 preset, each as .csv and .json. It also writes
+tpse-total.txt: the preset's bulk, single and double tpse_total at
+0.75 V/um, to 17 significant digits. It uses the twophoton
 package found on sys.path (set PYTHONPATH to pick a checkout's src/) and
 prints the package path it used to stderr.
 
@@ -48,6 +50,15 @@ def _cli_output(argv: list[str]) -> str:
     return out.getvalue()
 
 
+def _tpse_totals() -> str:
+    from twophoton import LateralField, build_experiment, preset_config, tpse_total
+
+    ex = build_experiment(preset_config("paper-fig3"))
+    field = LateralField(0.75e6)
+    return "".join(f"{env} = {tpse_total(ex.dot, field, env, ex.mode1, ex.mode2):.16e}\n"
+                   for env in ("bulk", "single", "double"))
+
+
 def write(directory: Path) -> int:
     import twophoton
 
@@ -60,8 +71,10 @@ def write(directory: Path) -> int:
         config = json.dumps({"preset": "paper-fig3", "sweep": sweep}, indent=1)
         for fmt in ("csv", "json"):
             outputs[f"{name}.{fmt}"] = ["sweep", "--config", config, "--format", fmt]
-    for name, argv in outputs.items():
-        (directory / name).write_text(_cli_output(argv))
+    texts = {name: _cli_output(argv) for name, argv in outputs.items()}
+    texts["tpse-total.txt"] = _tpse_totals()
+    for name, text in texts.items():
+        (directory / name).write_text(text)
         print(f"wrote {directory / name}")
     return 0
 
