@@ -103,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sweep = sub.add_parser("sweep", help="run the sweep described by a config file")
-    p_sweep.add_argument("--config", required=True, help="YAML config path")
+    p_sweep.add_argument("--config", required=True, help="YAML (or .json) config path")
     p_sweep.add_argument("--output", help="output path (default: stdout or config)")
     p_sweep.add_argument("--format", choices=tuple(OUTPUT_FORMATS),
                          help="output format (default: config or csv)")

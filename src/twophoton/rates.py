@@ -21,7 +21,8 @@ replace per-photon occupation factors with mode densities:
     density        dGamma/dw2 = (pi/2) [factor at w1] [factor at w2] M12^2
 
 with w1 = w_d - w2 on shell and psi the overlap of a mode with the dot
-(psi = 1 for a bulk leg). The one-photon rate is pi d_ss^2 f(w_d).
+(psi = 1 for a bulk leg). The one-photon rate is pi d_ss^2 times the leg
+factor at w_d: f(w_d) in bulk, g(w_d) with a mode at the dot line.
 Stimulated-plus-spontaneous emission into a driven mode-2 cavity
 multiplies the double-mode density by eta2 P2 pi / (4 hbar w2).
 
@@ -101,9 +102,8 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class DriveField:
-    """Classical laser drive: frequency, power, and either a focal spot area
-    (bulk propagation) or an in-coupling efficiency (cavity feeding). Exactly
-    one of the two is consulted per evaluation context."""
+    """Classical laser drive: frequency, power, a focal spot area (bulk
+    propagation) and an in-coupling efficiency (cavity feeding)."""
 
     omega: AngularFrequency
     power: float                     # W
@@ -312,27 +312,25 @@ def _check_omega2(omega2: AngularFrequency, model: QuantumDotModel) -> tuple:
 
 
 def _density_raw(w1, w2, field: LateralField, model: QuantumDotModel,
-                 environment: str, mode1: CavityMode | None, mode2: CavityMode | None):
+                 leg1: CavityMode | None, leg2: CavityMode | None):
     # dGamma/dw2 = (pi/2) [leg factor at w1] [leg factor at w2] M12^2; w1, w2
     # raw rad/s scalars or arrays. Mode overlaps enter through the leg factors.
-    leg1, leg2 = _legs(environment, mode1, mode2)
     n = model.host.n
     m = _m12_raw(w1, w2, field, model, EMISSION)
     return (math.pi / 2.0) * _leg_factor(w1, leg1, n) * _leg_factor(w2, leg2, n) * m * m
 
 
 def _spectral_density(omega2: AngularFrequency, model: QuantumDotModel,
-                      field: LateralField, environment: str,
-                      mode1: CavityMode | None, mode2: CavityMode | None) -> float:
-    w1, w2 = _check_omega2(omega2, model)
-    return float(_density_raw(w1, w2, field, model, environment, mode1, mode2))
+                      field: LateralField, leg1: CavityMode | None,
+                      leg2: CavityMode | None) -> float:
+    return float(_density_raw(*_check_omega2(omega2, model), field, model, leg1, leg2))
 
 
 def tpse_spectral_density_bulk(omega2: AngularFrequency, model: QuantumDotModel,
                                field: LateralField) -> float:
     """Free-space two-photon emission density dGamma/dw2 at w2, the partner
     photon taking up w1 = w_d - w2. Dimensionless. All psi = 1."""
-    return _spectral_density(omega2, model, field, "bulk", None, None)
+    return _spectral_density(omega2, model, field, None, None)
 
 
 def tpse_spectral_density_cavity(omega2: AngularFrequency, model: QuantumDotModel,
@@ -340,7 +338,7 @@ def tpse_spectral_density_cavity(omega2: AngularFrequency, model: QuantumDotMode
                                  mode2: CavityMode) -> float:
     """Double-mode emission density: both photons filtered by their cavity
     Lorentzians, scaled by (psi1 psi2)^2."""
-    return _spectral_density(omega2, model, field, "double", mode1, mode2)
+    return _spectral_density(omega2, model, field, mode1, mode2)
 
 
 def tpse_spectral_density_single_mode(omega2: AngularFrequency,
@@ -348,7 +346,7 @@ def tpse_spectral_density_single_mode(omega2: AngularFrequency,
                                       mode1: CavityMode) -> float:
     """Single-mode emission density: the w1 photon goes into mode 1, the w2
     photon into the free-space continuum. Scaled by psi1^2."""
-    return _spectral_density(omega2, model, field, "single", mode1, None)
+    return _spectral_density(omega2, model, field, mode1, None)
 
 
 # --- total emission rate by quadrature ------------------------------------
@@ -356,14 +354,12 @@ def tpse_spectral_density_single_mode(omega2: AngularFrequency,
 
 def _initial_intervals(model: QuantumDotModel, environment: str,
                        mode1: CavityMode | None, mode2: CavityMode | None) -> int:
-    # Start fine enough that every cavity Lorentzian is sampled several times
-    # per linewidth; plain doubling from a coarse grid would miss the peak and
-    # stop on a false plateau.
+    # Start fine enough that every integrated cavity Lorentzian is sampled
+    # several times per linewidth; plain doubling from a coarse grid would
+    # miss the peak and stop on a false plateau.
     span = model.omega_d.rad_per_s
-    finest = span
-    for mode in (mode1, mode2):
-        if mode is not None and environment != "bulk":
-            finest = min(finest, mode.omega_c.rad_per_s / mode.quality)
+    finest = min([span] + [leg.omega_c.rad_per_s / leg.quality
+                           for leg in _legs(environment, mode1, mode2) if leg is not None])
     wanted = min(max(256, int(8.0 * span / finest)), MAX_QUADRATURE_INTERVALS // 4)
     return 1 << (wanted - 1).bit_length()
 
@@ -380,10 +376,11 @@ def tpse_total_fixed(model: QuantumDotModel, field: LateralField, environment: s
     w_d / intervals, cancel to first order the rounding of linspace's nodes."""
     if intervals < 2:
         raise ValueError(f"grid needs at least 2 intervals, got {intervals!r}")
+    leg1, leg2 = _legs(environment, mode1, mode2)
     w_d = model.omega_d.rad_per_s
     grid = np.linspace(0.0, w_d, intervals + 1)
     w2 = grid[1:-1]
-    density = _density_raw(w_d - w2, w2, field, model, environment, mode1, mode2)
+    density = _density_raw(w_d - w2, w2, field, model, leg1, leg2)
     return float(np.dot(density, grid[2:] - grid[:-2]) / 2.0)
 
 
@@ -470,15 +467,12 @@ def tpa_rate_cavity(drive1: DriveField, drive2: DriveField, mode1: CavityMode,
 def opse_rate(model: QuantumDotModel, field: LateralField,
               mode_d: CavityMode | None = None) -> float:
     """One-photon spontaneous emission rate of the dot transition, 1/s:
-    n w_d^3 d_ge^2 / (3 pi hbar eps0 c^3), with the field-suppressed s-s
-    dipole. A mode at the transition frequency, when given, multiplies the
-    rate by its Purcell factor."""
+    pi d_ss^2 times the leg factor at w_d, with the field-suppressed s-s
+    dipole. In bulk that is n w_d^3 d_ss^2 / (3 pi hbar eps0 c^3); a mode at
+    the transition frequency, when given, takes the photon instead, which
+    scales the bulk rate by its Purcell factor times psi^2."""
     d = dipole_ss(field, model).coulomb_meters
-    rate = math.pi * d * d * _leg_factor(model.omega_d.rad_per_s, None, model.host.n)
-    if mode_d is not None:
-        rate *= purcell_factor(angular_frequency_to_wavelength(model.omega_d),
-                               model.host, mode_d, model.omega_d)
-    return rate
+    return math.pi * d * d * _leg_factor(model.omega_d.rad_per_s, mode_d, model.host.n)
 
 
 # --- sweep row -------------------------------------------------------------

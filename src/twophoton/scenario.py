@@ -1,10 +1,11 @@
 """Sweep configuration, execution and serialization.
 
-Config files are YAML. README.md's `## Config schema` section documents
-every key and the rules that tie keys together; a test loads its YAML block
-and checks its keys against _SCHEMA, the key table the checks below follow
-in its order. `preset: paper-fig3` fills every key, after which any subset
-can be overridden, list entries merging element-wise by position.
+Config files are YAML, or JSON when the file name ends in .json.
+README.md's `## Config schema` section documents every key and the rules
+that tie keys together; a test loads its YAML block and checks its keys
+against _SCHEMA, the key table the checks below follow in its order.
+`preset: paper-fig3` fills every key, after which any subset can be
+overridden, list entries merging element-wise by position.
 
 Field sweeps evaluate the full rate report per grid point; omega2 sweeps
 emit relative emitted-power spectra (cavity and bulk, normalized to the
@@ -364,20 +365,22 @@ def config_from_dict(data: dict, default_preset: str | None = None) -> ScenarioC
 
 def load_config(source: str | Path,
                 default_preset: str | None = None) -> ScenarioConfig:
-    """Build a ScenarioConfig from a YAML file path or inline YAML text."""
+    """Build a ScenarioConfig from a config file path or inline YAML text.
+    A file whose name ends in .json is read as JSON, anything else as YAML."""
+    text, parse, syntax = source, yaml.safe_load, "YAML"
     if isinstance(source, Path) or os.path.exists(source):
         try:
             text = Path(source).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config {source}: {exc}") from exc
+        if str(source).endswith(".json"):
+            parse, syntax = json.loads, "JSON"
     elif "\n" not in source and source.endswith((".yaml", ".yml", ".json")):
         raise ConfigError(f"config file not found: {source}")
-    else:
-        text = source
     try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config is not valid YAML: {exc}") from exc
+        data = parse(text)
+    except (yaml.YAMLError, ValueError) as exc:
+        raise ConfigError(f"config is not valid {syntax}: {exc}") from exc
     if data is None:
         raise ConfigError("config is empty")
     return config_from_dict(data, default_preset)

@@ -202,6 +202,23 @@ def test_enhancement_nonfinite_value_names_its_flags(capsys, q1, q2, v1, v2, mes
     assert err == message
 
 
+def test_json_config_file_sweeps(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"preset": "paper-fig3", "sweep": {"variable": "field", '
+                   '"min": 1e-05, "max": 2.0, "points": 3, "log": true}}')
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    assert float(lines[1].split(",")[0]) == pytest.approx(1e-05, rel=1e-15)
+
+
+def test_malformed_json_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"preset": ')
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: config is not valid JSON: ")
+
+
 def test_unknown_preset_exits_2(tmp_path, capsys):
     cfg = tmp_path / "other.yaml"
     cfg.write_text("preset: other\n")

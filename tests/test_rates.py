@@ -360,6 +360,18 @@ def test_tpse_total_budget_exhaustion_raises(dot, experiment, monkeypatch):
     assert err.value.achieved > 0.0
 
 
+def test_single_mode_total_ignores_mode2(dot, experiment):
+    # a single-mode total integrates mode1 only, so a narrow mode2 it is
+    # handed neither refines its starting grid nor moves the total
+    from twophoton.rates import _initial_intervals
+    narrow = dataclasses.replace(experiment.mode2, quality=1e5)
+    mode1 = experiment.mode1
+    assert _initial_intervals(dot, "single", mode1, narrow) == \
+        _initial_intervals(dot, "single", mode1, None)
+    assert tpse_total(dot, F075, "single", mode1, narrow) == \
+        tpse_total(dot, F075, "single", mode1)
+
+
 def test_tpse_total_argument_errors(dot, experiment):
     with pytest.raises(ValueError):
         tpse_total(dot, F075, "exotic")

@@ -3,6 +3,7 @@ deterministic serialization."""
 
 import copy
 import dataclasses
+import json
 import math
 import re
 from pathlib import Path
@@ -10,7 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from twophoton.cavity import purcell_factor
 from twophoton.presets import preset_config
+from twophoton.quantities import angular_frequency_to_wavelength
+from twophoton.rates import opse_rate
 from twophoton.scenario import (
     _COLUMNS,
     _KEYS,
@@ -30,6 +34,7 @@ from twophoton.scenario import (
     run_sweep,
     write_output,
 )
+from twophoton.stark import LateralField
 
 FIVE_POINT = {"preset": "paper-fig3",
               "sweep": {"variable": "field", "min": 0.0, "max": 2.0, "points": 5}}
@@ -95,6 +100,24 @@ def test_load_config_missing_file_and_bad_yaml(tmp_path):
         load_config(str(tmp_path / "nope.yaml"))
     with pytest.raises(ConfigError, match="YAML"):
         load_config("sweep: [unclosed\n")
+    # PyYAML raises a plain ValueError for an out-of-range timestamp
+    with pytest.raises(ConfigError, match="config is not valid YAML: month"):
+        load_config("dot:\n  wavelength_nm: 2020-13-45\n")
+
+
+def test_json_config_file_is_read_as_json(tmp_path):
+    # json.dumps writes 1e-05 and 2.5e-19, which YAML 1.1 reads as strings
+    doc = preset_config("paper-fig3")
+    del doc["modes"][1]["volume_cubic_wavelengths"]
+    doc["modes"][1]["volume_m3"] = 2.5e-19
+    doc["sweep"] = {"variable": "field", "min": 1e-05, "max": 2.0, "points": 3,
+                    "log": True}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    config = load_config(path)
+    assert config.grid[0] == 1e-05
+    assert config.experiment.mode2.volume == 2.5e-19
+    assert load_config(str(path)).config_hash == config.config_hash
 
 
 def test_empty_config_rejected(tmp_path):
@@ -431,6 +454,27 @@ def test_mode_volume_m3_is_taken_as_given():
     assert result.rows[-1].enhancement_tpse == pytest.approx(
         run_sweep(base).rows[-1].enhancement_tpse * base.experiment.mode2.volume / 2.5e-19,
         rel=1e-12)
+
+
+def test_third_mode_scales_opse_by_purcell_times_psi_squared():
+    # modes[2] at the dot line takes the one-photon emission: bulk OPSE
+    # times its Purcell factor times psi^2
+    columns = {}
+    for psi in (1.0, 0.5):
+        cfg = copy.deepcopy(FIVE_POINT)
+        cfg["modes"] = [{}, {}, {"wavelength_nm": 926.0, "quality": 5000.0,
+                                 "volume_cubic_wavelengths": 1.0, "psi": psi}]
+        config = config_from_dict(cfg)
+        ex = config.experiment
+        wavelength = angular_frequency_to_wavelength(ex.dot.omega_d)
+        purcell = purcell_factor(wavelength, ex.dot.host, ex.mode_d, ex.dot.omega_d)
+        rows = run_sweep(config).rows
+        for row in rows:
+            bulk = opse_rate(ex.dot, LateralField(row.field_strength)) / (2.0 * math.pi)
+            assert row.gamma_opse_over_2pi == pytest.approx(bulk * purcell * psi**2,
+                                                            rel=1e-12)
+        columns[psi] = [row.gamma_opse_over_2pi for row in rows]
+    assert columns[0.5] == pytest.approx([0.25 * x for x in columns[1.0]], rel=1e-12)
 
 
 def test_omega2_sweep_needs_no_spot_area():

@@ -1,0 +1,49 @@
+"""The repository tools: tools/outputs.py writes the canonical outputs and
+diffs two sets of them."""
+
+import csv
+import importlib.util
+import io
+import shutil
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _outputs_module():
+    spec = importlib.util.spec_from_file_location("outputs", TOOLS / "outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_outputs_write_and_diff(tmp_path, capsys):
+    outputs = _outputs_module()
+    written = tmp_path / "a"
+    assert outputs.main(["write", str(written)]) == 0
+    names = sorted(path.name for path in written.iterdir())
+    assert {"fig3a.csv", "tpse-total.txt", "field-mode-d.csv",
+            "field-mode-d.json"} <= set(names)
+    capsys.readouterr()
+
+    assert outputs.main(["diff", str(written), str(written)]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"{name}: identical"
+                                                    for name in names]
+
+    # perturb one value of one column in a copy
+    copy = tmp_path / "b"
+    shutil.copytree(written, copy)
+    path = copy / "field-mode-d.csv"
+    rows = list(csv.reader(io.StringIO(path.read_text())))
+    column = rows[0].index("gamma_opse_over_2pi_Hz")
+    rows[5][column] = repr(float(rows[5][column]) * (1.0 + 1e-9))
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    path.write_text(text.getvalue())
+
+    assert outputs.main(["diff", str(written), str(copy)]) == 1
+    out = capsys.readouterr().out
+    assert "field-mode-d.csv: differs" in out
+    assert "  gamma_opse_over_2pi_Hz: 1 of 60 rows changed, max rel 1.00e-09" in out
+    assert "  omega_eff_over_2pi_Hz: 0 of 60 rows changed" in out
+    assert "field-mode-d.json: identical" in out

@@ -5,7 +5,8 @@
 
 `write` runs the CLI in process and writes into DIR: fig3a.csv,
 fig3b.csv, enhancement.txt, and a log field sweep and a log omega2 sweep
-of the paper-fig3 preset, each as .csv and .json. It also writes
+of the paper-fig3 preset, each as .csv and .json, plus the log field
+sweep with a third mode at the dot line (field-mode-d). It also writes
 tpse-total.txt: the preset's bulk, single and double tpse_total at
 0.75 V/um, to 17 significant digits. It uses the twophoton
 package found on sys.path (set PYTHONPATH to pick a checkout's src/) and
@@ -30,12 +31,17 @@ from pathlib import Path
 
 ENHANCEMENT = ["enhancement", "--q1", "5000", "--q2", "12000",
                "--v1-cubic-wavelengths", "1", "--v2-cubic-wavelengths", "0.7"]
-# log grids: 0.01-2 V/um, and +-4 mode-2 linewidths around 8.189e14 rad/s
+# log field grid over 0.01-2 V/um
+FIELD_LOG = {"variable": "field", "min": 0.01, "max": 2.0, "points": 60, "log": True}
+# a third mode at the preset's 926 nm dot line, which Purcell-scales OPSE
+MODE_D = {"wavelength_nm": 926.0, "quality": 5000.0, "volume_cubic_wavelengths": 1.0}
+# config overrides on the paper-fig3 preset, by output name; the log omega2
+# grid spans +-4 mode-2 linewidths around 8.189e14 rad/s
 SWEEPS = {
-    "field-log": {"variable": "field", "min": 0.01, "max": 2.0, "points": 60,
-                  "log": True},
-    "omega2-log": {"variable": "omega2", "min": 8.18266e14, "max": 8.19577e14,
-                   "points": 81, "log": True},
+    "field-log": {"sweep": FIELD_LOG},
+    "omega2-log": {"sweep": {"variable": "omega2", "min": 8.18266e14,
+                             "max": 8.19577e14, "points": 81, "log": True}},
+    "field-mode-d": {"modes": [{}, {}, MODE_D], "sweep": FIELD_LOG},
 }
 
 
@@ -66,9 +72,9 @@ def write(directory: Path) -> int:
     directory.mkdir(parents=True, exist_ok=True)
     outputs = {"fig3a.csv": ["fig3a"], "fig3b.csv": ["fig3b"],
                "enhancement.txt": ENHANCEMENT}
-    for name, sweep in SWEEPS.items():
+    for name, overrides in SWEEPS.items():
         # inline YAML text (JSON is YAML); the indent puts it on several lines
-        config = json.dumps({"preset": "paper-fig3", "sweep": sweep}, indent=1)
+        config = json.dumps({"preset": "paper-fig3", **overrides}, indent=1)
         for fmt in ("csv", "json"):
             outputs[f"{name}.{fmt}"] = ["sweep", "--config", config, "--format", fmt]
     texts = {name: _cli_output(argv) for name, argv in outputs.items()}
