@@ -7,9 +7,12 @@ against _SCHEMA, the key table the checks below follow in its order.
 `preset: paper-fig3` fills every key, after which any subset can be
 overridden, list entries merging element-wise by position.
 
-Field sweeps evaluate the full rate report per grid point; omega2 sweeps
-emit relative emitted-power spectra (cavity and bulk, normalized to the
-bulk peak inside the window). Grid points are mutually independent, so they
+A field sweep is one reference evaluate_point plus the field law: every
+rate is a field-dependent dipole factor times field-free factors, so each
+row rescales the reference by the dipole product p(E) (omega_eff; p^2 for
+TPSTE and the density) and by d_ss(E)^2 (OPSE). omega2 sweeps emit
+relative emitted-power spectra (cavity and bulk, normalized to the bulk
+peak inside the window). Grid points are mutually independent, so they
 may be evaluated concurrently; rows always come out in grid order. Output
 is deterministic and carries no timestamp.
 """
@@ -35,7 +38,8 @@ from .rates import (
     tpse_spectral_density_bulk,
     tpse_spectral_density_cavity,
 )
-from .stark import LateralField
+from .stark import (LateralField, dipole_product_sp, dipole_ss, oscillator_length,
+                    stark_displacement)
 
 __all__ = [
     "ConfigError",
@@ -296,6 +300,9 @@ def _validate(config: dict) -> dict:
     for name, rules in _SCHEMA.items():
         for path, entry in _entries(config, name):
             _check_keys(entry, path, _KEYS[name])
+            if path == "modes[2]" and "eta" in entry:
+                raise ConfigError("modes[2].eta is not accepted: no drive feeds "
+                                  "the third mode")
             if name == "sweep":   # its numbers interleave with its cross-key rules
                 settings = _check_sweep(entry, config["drives"])
             else:
@@ -342,16 +349,13 @@ def _canonical_hash(config: dict) -> str:
 def config_from_dict(data: dict, default_preset: str | None = None) -> ScenarioConfig:
     """Validate a parsed config mapping, expanding its preset if named.
     default_preset applies only when the mapping names none itself."""
-    data = _require_mapping(data, "config")
-    data = dict(data)
-    preset = data.pop("preset", default_preset)
+    resolved = dict(_require_mapping(data, "config"))
+    preset = resolved.pop("preset", default_preset)
     if preset is not None:
         if preset not in PRESET_NAMES:
-            known = ", ".join(PRESET_NAMES)
-            raise ConfigError(f"preset must be one of: {known}; got {preset!r}")
-        resolved = _deep_merge(preset_config(preset), data)
-    else:
-        resolved = data
+            raise ConfigError(f"preset must be one of: {', '.join(PRESET_NAMES)}; "
+                              f"got {preset!r}")
+        resolved = _deep_merge(preset_config(preset), resolved)
     settings = _validate(resolved)
     try:
         experiment = build_experiment(resolved)
@@ -389,35 +393,62 @@ def load_config(source: str | Path,
 # --- execution --------------------------------------------------------------
 
 
-def _field_point(e_v_per_um: float, config: ScenarioConfig) -> RateReport:
-    return evaluate_point(e_v_per_um * 1e6, config.experiment)
-
-
-def _omega2_point(w2: float, config: ScenarioConfig) -> tuple[float, float]:
-    """Emitted power densities at w2, cavity and bulk, W s/rad."""
+def _field_law(config: ScenarioConfig):
+    """Row function of a field sweep: one evaluate_point at the field where
+    the dipole product p peaks (dx = sqrt(2) l_e), rescaled per row by the
+    field law. omega_eff goes as p, TPSTE and the density as p^2, OPSE as
+    d_ss^2; F1F2 and G1G2 do not depend on the field. |p| <= p_ref on every
+    row, so a rescale cannot overflow."""
     ex = config.experiment
-    omega2, field = AngularFrequency(w2), LateralField(config.sweep_field_v_per_um * 1e6)
-    cavity = HBAR * w2 * tpse_spectral_density_cavity(omega2, ex.dot, field,
-                                                      ex.mode1, ex.mode2)
-    bulk = HBAR * w2 * tpse_spectral_density_bulk(omega2, ex.dot, field)
-    if not (math.isfinite(cavity) and math.isfinite(bulk)):
-        raise ValueError(f"emitted power density is not finite "
-                         f"(cavity {cavity!r}, bulk {bulk!r})")
-    return cavity, bulk
+    peak = LateralField(math.sqrt(2.0) * oscillator_length(ex.dot)
+                        / stark_displacement(LateralField(1.0), ex.dot))
+    ref = evaluate_point(peak.v_per_m, ex)
+    p_ref, d_ref = dipole_product_sp(peak, ex.dot), dipole_ss(peak, ex.dot).coulomb_meters
+
+    def row(e_v_per_um: float) -> RateReport:
+        field = LateralField(e_v_per_um * 1e6)
+        # a dipole that underflows at its peak is zero on every row
+        r = dipole_product_sp(field, ex.dot) / p_ref if p_ref else 0.0
+        q = dipole_ss(field, ex.dot).coulomb_meters / d_ref if d_ref else 0.0
+        return RateReport(field.v_per_m, ref.omega_eff_over_2pi * r,
+                          ref.gamma_opse_over_2pi * q * q, ref.gamma_tpste_over_2pi * r * r,
+                          ref.tpse_spectral_density * r * r, ref.enhancement_tpse,
+                          ref.enhancement_tpa)
+    return row
+
+
+def _omega2_densities(config: ScenarioConfig):
+    """Row function of an omega2 sweep: emitted power densities at w2,
+    cavity and bulk, W s/rad, at the held field."""
+    ex = config.experiment
+    field = LateralField(config.sweep_field_v_per_um * 1e6)
+
+    def row(w2: float) -> tuple[float, float]:
+        omega2 = AngularFrequency(w2)
+        cavity = HBAR * w2 * tpse_spectral_density_cavity(omega2, ex.dot, field,
+                                                          ex.mode1, ex.mode2)
+        bulk = HBAR * w2 * tpse_spectral_density_bulk(omega2, ex.dot, field)
+        if not (math.isfinite(cavity) and math.isfinite(bulk)):
+            raise ValueError(f"emitted power density is not finite "
+                             f"(cavity {cavity!r}, bulk {bulk!r})")
+        return cavity, bulk
+    return row
 
 
 def run_sweep(config: ScenarioConfig) -> SweepResult:
     """Evaluate the configured sweep. Deterministic for a fixed config;
-    singular grid points surface as SweepError naming the point."""
+    singular grid points surface as SweepError naming the point. A failure
+    of what every row shares (a field sweep's reference row, the held
+    field) names grid point 0."""
     variable = config.sweep_variable
-    point = _field_point if variable == "field" else _omega2_point
-    swept = _COLUMNS[variable][1][0][0]
-    rows = []
-    for i, x in enumerate(config.grid):
-        try:
-            rows.append(point(x, config))
-        except (ValueError, ArithmeticError) as exc:
-            raise SweepError(i, swept, x, _reason(exc)) from exc
+    rows, i, x = [], 0, config.grid[0]
+    try:
+        point = (_field_law if variable == "field" else _omega2_densities)(config)
+        for i, x in enumerate(config.grid):
+            rows.append(point(x))
+    except (ValueError, ArithmeticError) as exc:
+        # the first column is the swept one
+        raise SweepError(i, _COLUMNS[variable][1][0][0], x, _reason(exc)) from exc
     if variable == "omega2":
         # in units of the bulk peak; an all-zero spectrum (zero field) stays zero
         peak = max(bulk for _, bulk in rows) or 1.0
@@ -502,8 +533,7 @@ def result_to_json_text(result: SweepResult) -> str:
         body = ", ".join(f'"{name}": {_fmt(getattr(row, name))}'
                          for _, name, _ in columns)
         lines.append("    {" + body + "}" + ("," if i < last else ""))
-    lines.append("  ]")
-    lines.append("}")
+    lines += ["  ]", "}"]
     return "\n".join(lines) + "\n"
 
 

@@ -177,8 +177,9 @@ def _m12_raw(omega1, omega2, field: LateralField, model: QuantumDotModel,
         else:
             d1, d2 = energy - w_d + omega2, energy - w_d + omega1
         for ordering, d in (("photon-1-first", d1), ("photon-2-first", d2)):
-            # one reduction: on a scalar about half the cost of np.any(np.abs(d) < floor)
-            smallest = np.abs(d).min()
+            # builtin abs on a scalar, where a numpy call would cost most of a
+            # sweep row; one numpy reduction on a quadrature grid
+            smallest = abs(d) if isinstance(d, float) else np.abs(d).min()
             if smallest < DEFAULT_MIN_DETUNING:
                 raise SingularDetuningError(label, ordering, float(smallest))
         total = total + (1.0 / d1 + 1.0 / d2)

@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import json
 import math
+import random
 import re
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import pytest
 from twophoton.cavity import purcell_factor
 from twophoton.presets import preset_config
 from twophoton.quantities import angular_frequency_to_wavelength
-from twophoton.rates import opse_rate
+from twophoton.rates import evaluate_point, opse_rate
 from twophoton.scenario import (
     _COLUMNS,
     _KEYS,
@@ -169,6 +170,11 @@ REJECTIONS = [
     (("modes", 0, "omega_rad_per_s"), 1e15, "exactly one of wavelength_nm"),
     (("modes", 0, "volume_m3"), 1e-19, "exactly one of volume_cubic_wavelengths"),
     (("modes", 0, "surprise"), 1.0, "unknown key 'surprise' in modes[0]"),
+    # no drive feeds a third mode, so its in-coupling would be ignored
+    (("modes",), preset_config("paper-fig3")["modes"] + [
+        {"wavelength_nm": 926.0, "quality": 5000.0, "volume_cubic_wavelengths": 1.0,
+         "eta": 0.5}],
+     "modes[2].eta is not accepted: no drive feeds the third mode"),
     (("drives", 0, "power_uw"), -1.0, "drives[0].power_uw"),
     (("drives", 1, "spot_area_um2"), 0.0, "drives[1].spot_area_um2"),
     (("drives", 0, "spot_area_um2"), _DELETE, "drives[0].spot_area_um2"),
@@ -372,6 +378,66 @@ def test_field_sweep_shape_and_parity():
     assert result.constants_version == "codata2018"
 
 
+def _random_dot_sweep(rng: random.Random, log: bool) -> dict:
+    """A field sweep of a randomly drawn dot: all 7 dot keys, both modes,
+    and drives drawn around the dot line (photon 2 below it)."""
+    def log_uniform(low, high):
+        return 10.0 ** rng.uniform(math.log10(low), math.log10(high))
+
+    lam_d = rng.uniform(850.0, 1000.0)
+    omega_d = 2.0 * math.pi * 299792458.0 / (lam_d * 1e-9)
+    omega_1 = omega_d * rng.uniform(0.3, 0.7)
+    omega_2 = omega_d - omega_1
+    omegas = (omega_1, omega_2)
+    modes = [{"omega_rad_per_s": omegas[i] * (1.0 + rng.uniform(-1e-4, 1e-4)),
+              "quality": log_uniform(1e3, 1e5),
+              "volume_cubic_wavelengths": rng.uniform(0.5, 3.0),
+              "eta": rng.uniform(0.0, 1.0), "psi": rng.uniform(0.2, 1.0)}
+             for i in range(2)]
+    drives = [{"omega_rad_per_s": omega * (1.0 - rng.uniform(0.0, 1e-4)),
+               "power_uw": log_uniform(1.0, 1e3), "spot_area_um2": rng.uniform(0.5, 5.0)}
+              for omega in (omega_1, omega_2, omega_2)]
+    top = rng.uniform(0.5, 3.0)
+    sweep = {"variable": "field", "min": rng.uniform(0.01, 0.1) if log else 0.0,
+             "max": top, "points": 5, "log": log}
+    return {"preset": None,
+            "dot": {"wavelength_nm": lam_d,
+                    "electron_mass_ratio": log_uniform(0.02, 0.2),
+                    "hole_mass_ratio": log_uniform(0.05, 0.5),
+                    "electron_confinement_mev": rng.uniform(3.0, 30.0),
+                    "hole_confinement_mev": rng.uniform(2.0, 20.0),
+                    "r_cv_nm": rng.uniform(0.2, 2.0),
+                    "refractive_index": rng.uniform(2.5, 4.0)},
+            "modes": modes, "drives": drives, "sweep": sweep}
+
+
+# Below this, evaluate_point's own products lose digits to underflow at
+# strong fields (a subnormal dipole product, or d_ss**2 formed before the
+# leg factor), so the field law is only held to "also below it" there.
+_UNDERFLOW = 1e-200
+
+
+def test_field_law_rows_match_evaluate_point_on_random_dots():
+    # each field row is one reference evaluate_point rescaled by the field
+    # law; on every column it must equal evaluate_point at the row's field
+    rng = random.Random(7)
+    for n in range(400):
+        config = config_from_dict(_random_dot_sweep(rng, log=n % 2 == 1))
+        rows = run_sweep(config).rows
+        for row, e_v_per_um in zip(rows, config.grid):
+            expected = evaluate_point(e_v_per_um * 1e6, config.experiment)
+            for got, want in zip(dataclasses.astuple(row), dataclasses.astuple(expected)):
+                if want < _UNDERFLOW:
+                    assert got < _UNDERFLOW, (n, row)
+                else:
+                    assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), (n, row)
+        if config.grid[0] == 0.0:
+            first = rows[0]
+            assert first.omega_eff_over_2pi == 0.0
+            assert first.gamma_tpste_over_2pi == 0.0
+            assert first.tpse_spectral_density == 0.0
+
+
 def test_sweep_determinism():
     a = run_sweep(config_from_dict(copy.deepcopy(FIVE_POINT)))
     b = run_sweep(config_from_dict(copy.deepcopy(FIVE_POINT)))
@@ -416,6 +482,18 @@ def test_sweep_arithmetic_error_names_grid_point(cfg):
     # the bare message ("math range error") names no cause; its type does
     assert str(err.value).startswith(
         f"grid point 0 (field_V_per_um = 0): {type(cause).__name__}: ")
+
+
+def test_field_sweep_of_an_underflowing_dipole_is_all_zero():
+    # r_cv so small that both dipoles underflow even at their peak: every
+    # row is evaluate_point's all-zero rates, not a division by zero
+    cfg = preset_config("paper-fig3")
+    cfg["dot"]["r_cv_nm"] = 1.0e-300
+    cfg["sweep"]["points"] = 3
+    config = config_from_dict(cfg)
+    for row, e_v_per_um in zip(run_sweep(config).rows, config.grid):
+        assert row == evaluate_point(e_v_per_um * 1e6, config.experiment)
+        assert row.omega_eff_over_2pi == row.gamma_opse_over_2pi == 0.0
 
 
 def _omega2_sweep(cfg: dict) -> dict:

@@ -1,13 +1,17 @@
 """The repository tools: tools/outputs.py writes the canonical outputs and
-diffs two sets of them."""
+diffs two sets of them, and the benchmark's tracer finds a span for every
+layer it times on the figure sweeps."""
 
 import csv
 import importlib.util
 import io
 import shutil
+import sys
 from pathlib import Path
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+ROOT = Path(__file__).resolve().parents[1]
+TOOLS = ROOT / "tools"
+BENCH = ROOT / "bench"
 
 
 def _outputs_module():
@@ -47,3 +51,22 @@ def test_outputs_write_and_diff(tmp_path, capsys):
     assert "  gamma_opse_over_2pi_Hz: 1 of 60 rows changed, max rel 1.00e-09" in out
     assert "  omega_eff_over_2pi_Hz: 0 of 60 rows changed" in out
     assert "field-mode-d.json: identical" in out
+
+
+def test_figure_sweeps_reach_every_traced_rates_cavity_and_presets_name(monkeypatch):
+    # bench/tracing.per_layer takes the median of each traced function's
+    # spans, and its probe reaches rates, cavity and presets only through
+    # sweeps: a sweep path that stopped calling one of them would leave an
+    # empty span list and stop the traced benchmark run
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    from twophoton.scenario import reproduce_fig3a, reproduce_fig3b
+
+    with tracing.Tracer() as tracer:
+        reproduce_fig3a()
+        reproduce_fig3b()
+    # the probe calls tpse_total* and stark's functions itself
+    expected = [f"{module}.{name}" for module in ("rates", "cavity", "presets")
+                for name in tracing.TRACED[module] if not name.startswith("tpse_total")]
+    assert [name for name in expected if not tracer.durations[name]] == []
