@@ -23,7 +23,7 @@ from .quantities import (
     energy_to_angular_frequency,
     wavelength_to_angular_frequency,
 )
-from .rates import DriveField, Experiment, Linewidth
+from .rates import DriveField, Experiment
 from .stark import QuantumDotModel
 
 __all__ = ["PRESET", "PRESET_NAMES", "build_experiment", "preset_config"]
@@ -155,8 +155,6 @@ def build_experiment(config: dict) -> Experiment:
              for i, entry in enumerate(config["modes"])]
     drives = [_built(f"drives[{i}]", _build_drive, entry)
               for i, entry in enumerate(config["drives"])]
-    lw_cfg = config.get("linewidth")
-    linewidth = None if lw_cfg is None else Linewidth(lw_cfg["gamma_d_rad_per_s"])
     return Experiment(
         dot=dot,
         mode1=modes[0],
@@ -164,6 +162,5 @@ def build_experiment(config: dict) -> Experiment:
         drive1=drives[0],
         drive2=drives[1],
         stim_drive2=drives[2],
-        linewidth=linewidth,
         mode_d=modes[2] if len(modes) > 2 else None,
     )

@@ -172,8 +172,8 @@ class RateReport:
 class Experiment:
     """Complete parameterization of one dot-plus-cavities evaluation: the dot
     model, the two cavity modes, the TPA drives feeding them, the mode-2
-    stimulation drive, the delta-regularization linewidth, and optionally a
-    third mode at the dot transition that Purcell-scales the one-photon rate."""
+    stimulation drive, and optionally a third mode at the dot transition
+    that Purcell-scales the one-photon rate."""
 
     dot: QuantumDotModel
     mode1: CavityMode
@@ -181,13 +181,7 @@ class Experiment:
     drive1: DriveField
     drive2: DriveField
     stim_drive2: DriveField
-    linewidth: Linewidth | None = None
     mode_d: CavityMode | None = None
-
-    def resolved_linewidth(self) -> Linewidth:
-        if self.linewidth is not None:
-            return self.linewidth
-        return Linewidth(opse_rate(self.dot, LateralField(0.0), self.mode_d))
 
 
 # --- building blocks ------------------------------------------------------
@@ -472,7 +466,9 @@ def opse_rate(model: QuantumDotModel, field: LateralField,
     the transition frequency, when given, takes the photon instead, which
     scales the bulk rate by its Purcell factor times psi^2."""
     d = dipole_ss(field, model).coulomb_meters
-    return math.pi * d * d * _leg_factor(model.omega_d.rad_per_s, mode_d, model.host.n)
+    leg = _leg_factor(model.omega_d.rad_per_s, mode_d, model.host.n)
+    # d * leg first: d * d underflows while the rate is still representable
+    return math.pi * d * (d * leg)
 
 
 # --- sweep row -------------------------------------------------------------

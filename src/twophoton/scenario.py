@@ -163,7 +163,6 @@ _SCHEMA = {
     "sweep": {"variable": None, "min": _Number(min=0.0), "max": _Number(),
               "points": _Number(min=2, max=MAX_SWEEP_POINTS, integer=True),
               "log": None, "field_v_per_um": _Number(min=0.0, required=False)},
-    "linewidth": {"gamma_d_rad_per_s": _POSITIVE},
     "output": {"path": None, "format": None},
 }
 # each section's key names, one-of groups flattened
@@ -173,7 +172,7 @@ _KEYS = {name: {key for group in rules
 # list sections: fewest and most entries, and what the entries are
 _LISTS = {"modes": (2, 3, "2 or 3 cavity modes"),
           "drives": (3, 3, "exactly 3 entries (photon-1, photon-2, stimulation)")}
-_OPTIONAL = ("linewidth", "output")
+_OPTIONAL = ("output",)
 
 
 def _require_mapping(value, path: str) -> dict:
@@ -295,8 +294,8 @@ def _check_output(out: dict) -> dict:
 def _validate(config: dict) -> dict:
     """Check a resolved config against _SCHEMA, section by section and key
     by key in table order, so the first error is the first bad key a reader
-    meets. Returns the sweep and output fields of ScenarioConfig."""
-    _check_keys(config, "config", _SCHEMA)
+    meets; unknown top-level keys are checked after the sections. Returns
+    the sweep and output fields of ScenarioConfig."""
     for name, rules in _SCHEMA.items():
         for path, entry in _entries(config, name):
             _check_keys(entry, path, _KEYS[name])
@@ -307,6 +306,7 @@ def _validate(config: dict) -> dict:
                 settings = _check_sweep(entry, config["drives"])
             else:
                 _check_numbers(entry, path, rules)
+    _check_keys(config, "config", _SCHEMA)
     return settings | _check_output(config.get("output", {}))
 
 
@@ -419,7 +419,9 @@ def _field_law(config: ScenarioConfig):
 
 def _omega2_densities(config: ScenarioConfig):
     """Row function of an omega2 sweep: emitted power densities at w2,
-    cavity and bulk, W s/rad, at the held field."""
+    cavity and bulk, W s/rad, at the held field. Both go as p(E)^2, which
+    the bulk-peak normalization in run_sweep cancels: every nonzero held
+    field gives the same relative spectrum, and a zero field all-zero rows."""
     ex = config.experiment
     field = LateralField(config.sweep_field_v_per_um * 1e6)
 
@@ -468,9 +470,9 @@ def reproduce_fig3b() -> SweepResult:
     """Emitted-power spectrum across paper-fig3's mode-2 resonance at
     0.75 V/um: 401 points spanning 4 cavity linewidths each side of center,
     cavity and bulk environments normalized to the bulk in-window peak."""
-    mode2 = config_from_dict({"preset": PRESET}).experiment.mode2
-    center = mode2.omega_c.rad_per_s
-    width = center / mode2.quality
+    mode2 = preset_config(PRESET)["modes"][1]
+    center = mode2["omega_rad_per_s"]
+    width = center / mode2["quality"]
     sweep = {
         "variable": "omega2",
         "min": center - 4.0 * width,

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-import numpy as np
 
 from .cavity import BulkHost
 from .quantities import AngularFrequency, DipoleMoment, HBAR, QE
@@ -177,9 +176,9 @@ def _m12_raw(omega1, omega2, field: LateralField, model: QuantumDotModel,
         else:
             d1, d2 = energy - w_d + omega2, energy - w_d + omega1
         for ordering, d in (("photon-1-first", d1), ("photon-2-first", d2)):
-            # builtin abs on a scalar, where a numpy call would cost most of a
-            # sweep row; one numpy reduction on a quadrature grid
-            smallest = abs(d) if isinstance(d, float) else np.abs(d).min()
+            # builtin abs: cheap on a scalar, and on a quadrature grid's
+            # array it needs no numpy import here
+            smallest = abs(d) if isinstance(d, float) else abs(d).min()
             if smallest < DEFAULT_MIN_DETUNING:
                 raise SingularDetuningError(label, ordering, float(smallest))
         total = total + (1.0 / d1 + 1.0 / d2)

@@ -421,7 +421,7 @@ def test_tpste_rate_value_and_identity(dot, experiment):
 
 
 def test_tpa_bulk_against_printed_form(dot, experiment):
-    lw = experiment.resolved_linewidth()
+    lw = Linewidth(opse_rate(dot, LateralField(0.0)))
     rate = tpa_rate_bulk(experiment.drive1, experiment.drive2, dot, F075, lw)
     # (pi/2) [P1/(2 hbar^2 n eps0 c A1)] [P2/(2 hbar^2 n eps0 c A2)] M^2 L
     n = dot.host.n
@@ -440,7 +440,7 @@ def test_tpa_bulk_against_printed_form(dot, experiment):
 
 
 def test_tpa_cavity_against_bracket_form(dot, experiment):
-    lw = experiment.resolved_linewidth()
+    lw = Linewidth(opse_rate(dot, LateralField(0.0)))
     rate = tpa_rate_cavity(experiment.drive1, experiment.drive2,
                            experiment.mode1, experiment.mode2, dot, F075, lw)
     # (pi/2) prod_i [eta_i P_i Q_i phi_i/(hbar^2 w_i n^2 eps0 V_i)] M^2 L
@@ -461,7 +461,7 @@ def test_tpa_cavity_against_bracket_form(dot, experiment):
 
 
 def test_tpa_ratio_is_g1g2(dot, experiment):
-    lw = experiment.resolved_linewidth()
+    lw = Linewidth(opse_rate(dot, LateralField(0.0)))
     bulk = tpa_rate_bulk(experiment.drive1, experiment.drive2, dot, F075, lw)
     cavity = tpa_rate_cavity(experiment.drive1, experiment.drive2,
                              experiment.mode1, experiment.mode2, dot, F075, lw)
@@ -499,6 +499,21 @@ def test_opse_purcell_scaling(dot):
     bare = opse_rate(dot, LateralField(0.0))
     enhanced = opse_rate(dot, LateralField(0.0), mode_d)
     assert enhanced / bare == pytest.approx(379.95443865876666, rel=1e-12)
+
+
+@pytest.mark.parametrize("third_mode", [False, True])
+def test_opse_strong_field_does_not_underflow(dot, third_mode):
+    # at 9.5 V/um d_ss^2 alone underflows to 0, while the rate, d_ss^2
+    # times the leg factor, is about 1e-274 1/s
+    mode_d = mode_at_wavelength(angular_frequency_to_wavelength(dot.omega_d),
+                                dot.host, 5000.0) if third_mode else None
+    field = LateralField(9.5 * V_PER_UM)
+    suppression = dipole_ss(field, dot).coulomb_meters \
+        / dipole_ss(LateralField(0.0), dot).coulomb_meters
+    rate = opse_rate(dot, field, mode_d)
+    assert 0.0 < rate < 1e-250
+    assert rate == pytest.approx(
+        opse_rate(dot, LateralField(0.0), mode_d) * suppression**2, rel=1e-12)
 
 
 # --- sweep row --------------------------------------------------------------
@@ -545,12 +560,6 @@ def test_rate_report_rejects_bad_values():
         for bad in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match=key):
                 RateReport(**{**good, key: bad})
-
-
-def test_resolved_linewidth_default_is_zero_field_opse(experiment, dot):
-    lw = experiment.resolved_linewidth()
-    assert lw.gamma_d == pytest.approx(opse_rate(dot, LateralField(0.0)),
-                                       rel=1e-14)
 
 
 def test_drive_field_validation(experiment):

@@ -194,6 +194,8 @@ REJECTIONS = [
     (("sweep", "field_v_per_um"), 0.75, "field_v_per_um"),
     (("sweep", "stride"), 3, "unknown key 'stride' in sweep"),
     (("bogus",), 1.0, "unknown key 'bogus' in config"),
+    # the tpa_rate_* API takes its Linewidth as an argument; no output reads one
+    (("linewidth",), {"gamma_d_rad_per_s": 1.0e9}, "unknown key 'linewidth' in config"),
     (("modes",), 3, "modes must list 2 or 3 cavity modes, got int"),
     (("drives",), 3, "drives must list exactly 3 entries"),
     # a field sweep emits drives 1 and 2 as photon 2, below the dot line
@@ -230,11 +232,8 @@ def test_validation_rejects_each_field(path_keys, value, fragment):
 
 def test_validation_rejects_bad_linewidth_and_output():
     cfg = preset_config("paper-fig3")
-    cfg["linewidth"] = {"gamma_d_rad_per_s": 0.0}
-    with pytest.raises(ConfigError, match="gamma_d_rad_per_s"):
-        config_from_dict(cfg)
-    cfg["linewidth"] = {"gamma_d_rad_per_s": 1e9, "units": "Hz"}
-    with pytest.raises(ConfigError, match="unknown key 'units'"):
+    cfg["linewidth"] = {"gamma_d_rad_per_s": 1e9}
+    with pytest.raises(ConfigError, match="unknown key 'linewidth' in config"):
         config_from_dict(cfg)
     cfg = preset_config("paper-fig3")
     cfg["output"] = {"format": "xml"}
@@ -265,7 +264,7 @@ WRONG_TYPES = [3, "three", [3], None]
 @pytest.mark.parametrize("path_keys,path", [
     (("dot",), "dot"), (("modes",), "modes"), (("modes", 0), "modes[0]"),
     (("drives",), "drives"), (("drives", 2), "drives[2]"), (("sweep",), "sweep"),
-    (("linewidth",), "linewidth"), (("output",), "output")])
+    (("output",), "output")])
 @pytest.mark.parametrize("value", WRONG_TYPES, ids=repr)
 def test_wrong_type_names_its_path(path_keys, path, value):
     with pytest.raises(ConfigError) as err:
@@ -412,8 +411,8 @@ def _random_dot_sweep(rng: random.Random, log: bool) -> dict:
 
 
 # Below this, evaluate_point's own products lose digits to underflow at
-# strong fields (a subnormal dipole product, or d_ss**2 formed before the
-# leg factor), so the field law is only held to "also below it" there.
+# strong fields (a subnormal dipole product times the detuning sum in M12),
+# so the field law is only held to "also below it" there.
 _UNDERFLOW = 1e-200
 
 
@@ -576,6 +575,25 @@ def test_omega2_sweep_rows():
     assert max(bulk) == 1.0            # normalized to the bulk in-window peak
     omegas = [row.omega2_rad_per_s for row in result.rows]
     assert omegas == sorted(omegas)
+
+
+def test_omega2_spectrum_does_not_depend_on_held_field():
+    # both densities go as p(E)^2, which the bulk-peak normalization cancels
+    def spectrum(field_v_per_um):
+        cfg = preset_config("paper-fig3")
+        center = cfg["modes"][1]["omega_rad_per_s"]
+        cfg["sweep"] = {"variable": "omega2", "min": center - 7e11,
+                        "max": center + 7e11, "points": 41,
+                        "field_v_per_um": field_v_per_um}
+        return run_sweep(config_from_dict(cfg)).rows
+
+    for a, b in zip(spectrum(0.75), spectrum(2.5)):
+        assert a.omega2_rad_per_s == b.omega2_rad_per_s
+        assert math.isclose(a.tpse_power_cavity_rel, b.tpse_power_cavity_rel,
+                            rel_tol=1e-14)
+        assert math.isclose(a.tpse_power_bulk_rel, b.tpse_power_bulk_rel, rel_tol=1e-14)
+    assert all(row.tpse_power_cavity_rel == row.tpse_power_bulk_rel == 0.0
+               for row in spectrum(0.0))
 
 
 def test_fig3a_shape():

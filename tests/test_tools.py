@@ -1,6 +1,7 @@
 """The repository tools: tools/outputs.py writes the canonical outputs and
-diffs two sets of them, and the benchmark's tracer finds a span for every
-layer it times on the figure sweeps."""
+diffs two sets of them, the benchmark's tracer finds a span for every
+layer it times on the figure sweeps, and the benchmark's README config
+still fails with the error it documents."""
 
 import csv
 import importlib.util
@@ -70,3 +71,15 @@ def test_figure_sweeps_reach_every_traced_rates_cavity_and_presets_name(monkeypa
     expected = [f"{module}.{name}" for module in ("rates", "cavity", "presets")
                 for name in tracing.TRACED[module] if not name.startswith("tpse_total")]
     assert [name for name in expected if not tracer.durations[name]] == []
+
+
+def test_benchmark_readme_config_fails_with_its_documented_error(monkeypatch):
+    # the cli workload counts the README op as a known failure only while
+    # its error names README_REJECTION; a check order that reached another
+    # bad key first would turn it into an unexpected failure
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    kind, code, stderr = workloads.in_process(workloads.README_CONFIG)
+    assert (kind, code) == ("error", 2)
+    assert workloads.README_REJECTION in stderr
