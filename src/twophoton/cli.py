@@ -48,8 +48,7 @@ def _emit(result, fmt: str, path: str | None) -> None:
 
 def _cmd_sweep(args) -> int:
     config = load_config(args.config, default_preset=PRESET)
-    _emit(run_sweep(config), args.format or config.output_format,
-          args.output or config.output_path)
+    _emit(run_sweep(config), args.format, args.output)
     return 0
 
 
@@ -104,9 +103,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run the sweep described by a config file")
     p_sweep.add_argument("--config", required=True, help="YAML (or .json) config path")
-    p_sweep.add_argument("--output", help="output path (default: stdout or config)")
-    p_sweep.add_argument("--format", choices=tuple(OUTPUT_FORMATS),
-                         help="output format (default: config or csv)")
+    p_sweep.add_argument("--output", help="output path (default: stdout)")
+    p_sweep.add_argument("--format", choices=tuple(OUTPUT_FORMATS), default="csv",
+                         help="output format (default: csv)")
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     for name, figure, text in (

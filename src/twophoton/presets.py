@@ -26,7 +26,7 @@ from .quantities import (
 from .rates import DriveField, Experiment
 from .stark import QuantumDotModel
 
-__all__ = ["PRESET", "PRESET_NAMES", "build_experiment", "preset_config"]
+__all__ = ["PRESET", "build_experiment", "preset_config"]
 
 _DOT_WAVELENGTH_NM = 926.0
 _PUMP_WAVELENGTH_NM = 1550.0
@@ -80,7 +80,6 @@ def _paper_fig3() -> dict:
 
 
 PRESET = "paper-fig3"
-PRESET_NAMES = (PRESET,)
 
 
 def preset_config(name: str) -> dict:

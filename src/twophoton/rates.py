@@ -57,7 +57,8 @@ from .stark import (
     EMISSION,
     LateralField,
     QuantumDotModel,
-    _m12_raw,
+    _detuning_sum,
+    dipole_product_sp,
     dipole_ss,
 )
 
@@ -223,15 +224,16 @@ def effective_rabi(channel1: PhotonChannel, channel2: PhotonChannel,
     """Two-photon effective Rabi rate, rad/s: f1 f2 M12, the two-ordering
     sum over intermediate states factored into the transition moment and
     each channel's one-leg quantized Rabi rate per unit dipole, which
-    carries the channel's overlap psi."""
-    m = _m12_raw(channel1.omega.rad_per_s, channel2.omega.rad_per_s, field, model,
-                 direction)
+    carries the channel's overlap psi. The dipole product comes last, so a
+    subnormal one keeps its digits while the rate is a normal float."""
+    s = _detuning_sum(channel1.omega.rad_per_s, channel2.omega.rad_per_s, model,
+                      direction)
     unit, host = DipoleMoment(1.0), model.host
     f1 = quantized_rabi_rate(unit, channel1.omega, channel1.photons, channel1.volume,
                              host, psi=channel1.psi, occupation=direction)
     f2 = quantized_rabi_rate(unit, channel2.omega, channel2.photons, channel2.volume,
                              host, psi=channel2.psi, occupation=direction)
-    return float(f1 * f2 * m)
+    return float(f1 * f2 * s * dipole_product_sp(field, model))
 
 
 def on_shell_two_photon_rate(omega_eff: float, detuning: float,
@@ -308,10 +310,12 @@ def _check_omega2(omega2: AngularFrequency, model: QuantumDotModel) -> tuple:
 def _density_raw(w1, w2, field: LateralField, model: QuantumDotModel,
                  leg1: CavityMode | None, leg2: CavityMode | None):
     # dGamma/dw2 = (pi/2) [leg factor at w1] [leg factor at w2] M12^2; w1, w2
-    # raw rad/s scalars or arrays. Mode overlaps enter through the leg factors.
-    n = model.host.n
-    m = _m12_raw(w1, w2, field, model, EMISSION)
-    return (math.pi / 2.0) * _leg_factor(w1, leg1, n) * _leg_factor(w2, leg2, n) * m * m
+    # raw rad/s scalars or arrays. Mode overlaps enter through the leg factors;
+    # the dipole product p comes last, as p * p underflows first.
+    n, p = model.host.n, dipole_product_sp(field, model)
+    s = _detuning_sum(w1, w2, model, EMISSION)
+    return p * (p * ((math.pi / 2.0) * _leg_factor(w1, leg1, n)
+                     * _leg_factor(w2, leg2, n) * s * s))
 
 
 def _spectral_density(omega2: AngularFrequency, model: QuantumDotModel,
@@ -419,8 +423,8 @@ def tpste_rate(model: QuantumDotModel, field: LateralField, mode1: CavityMode,
     n = model.host.n
     stim = photon_number_cavity(drive2, mode2) \
         * (_vacuum_coupling(w2, mode2.volume, n) * mode2.psi / HBAR) ** 2
-    m = _m12_raw(w1, w2, field, model, EMISSION)
-    return float((math.pi / 2.0) * _leg_factor(w1, mode1, n) * stim * m * m)
+    p, s = dipole_product_sp(field, model), _detuning_sum(w1, w2, model, EMISSION)
+    return float(p * (p * ((math.pi / 2.0) * _leg_factor(w1, mode1, n) * stim * s * s)))
 
 
 def _cavity_channel(drive: DriveField, mode: CavityMode) -> PhotonChannel:

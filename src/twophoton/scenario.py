@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .presets import PRESET, PRESET_NAMES, _reason, build_experiment, preset_config
+from .presets import PRESET, _reason, build_experiment, preset_config
 from .quantities import CONSTANTS_VERSION, HBAR, AngularFrequency
 from .rates import (
     Experiment,
@@ -112,8 +112,6 @@ class ScenarioConfig:
     sweep_variable: str
     grid: tuple
     sweep_field_v_per_um: float | None
-    output_path: str | None
-    output_format: str
     config_hash: str
 
 
@@ -148,8 +146,8 @@ _VOLUME = ("volume_cubic_wavelengths", "volume_m3")
 
 # The config schema: each section's keys, in check order, with the rule for
 # each numeric key. A tuple of keys is a one-of group (exactly one of them
-# must be present); None marks a key that _check_sweep or _check_output
-# checks, together with the rules that tie keys to each other.
+# must be present); None marks a key that _check_sweep checks, together
+# with the rules that tie keys to each other.
 _SCHEMA = {
     "dot": {"wavelength_nm": _POSITIVE, "electron_mass_ratio": _POSITIVE,
             "hole_mass_ratio": _POSITIVE, "electron_confinement_mev": _POSITIVE,
@@ -163,7 +161,6 @@ _SCHEMA = {
     "sweep": {"variable": None, "min": _Number(min=0.0), "max": _Number(),
               "points": _Number(min=2, max=MAX_SWEEP_POINTS, integer=True),
               "log": None, "field_v_per_um": _Number(min=0.0, required=False)},
-    "output": {"path": None, "format": None},
 }
 # each section's key names, one-of groups flattened
 _KEYS = {name: {key for group in rules
@@ -172,7 +169,6 @@ _KEYS = {name: {key for group in rules
 # list sections: fewest and most entries, and what the entries are
 _LISTS = {"modes": (2, 3, "2 or 3 cavity modes"),
           "drives": (3, 3, "exactly 3 entries (photon-1, photon-2, stimulation)")}
-_OPTIONAL = ("output",)
 
 
 def _require_mapping(value, path: str) -> dict:
@@ -223,10 +219,8 @@ def _check_numbers(entry: dict, path: str, rules: dict) -> None:
 
 def _entries(config: dict, name: str) -> list[tuple[str, object]]:
     """(path, value) of each mapping in one section: one per entry of a
-    list section, none for a missing optional one."""
+    list section."""
     if name not in config:
-        if name in _OPTIONAL:
-            return []
         raise ConfigError(f"{name} is required")
     value = config[name]
     if name not in _LISTS:
@@ -280,22 +274,11 @@ def _check_sweep(sweep: dict, drives: list) -> dict:
     return {"sweep_variable": variable, "grid": grid, "sweep_field_v_per_um": hold}
 
 
-def _check_output(out: dict) -> dict:
-    """output's keys; returns the output fields of ScenarioConfig."""
-    path = out.get("path")
-    if "path" in out and (not isinstance(path, str) or not path):
-        raise ConfigError(f"output.path must be a non-empty string, got {path!r}")
-    fmt = out.get("format", "csv")
-    if fmt not in OUTPUT_FORMATS:
-        raise ConfigError(f"output.format must be {_FORMAT_NAMES}, got {fmt!r}")
-    return {"output_path": path, "output_format": fmt}
-
-
 def _validate(config: dict) -> dict:
     """Check a resolved config against _SCHEMA, section by section and key
     by key in table order, so the first error is the first bad key a reader
     meets; unknown top-level keys are checked after the sections. Returns
-    the sweep and output fields of ScenarioConfig."""
+    the sweep fields of ScenarioConfig."""
     for name, rules in _SCHEMA.items():
         for path, entry in _entries(config, name):
             _check_keys(entry, path, _KEYS[name])
@@ -307,7 +290,7 @@ def _validate(config: dict) -> dict:
             else:
                 _check_numbers(entry, path, rules)
     _check_keys(config, "config", _SCHEMA)
-    return settings | _check_output(config.get("output", {}))
+    return settings
 
 
 def _check_dot_line(config: dict, experiment: Experiment, variable: str) -> None:
@@ -352,9 +335,8 @@ def config_from_dict(data: dict, default_preset: str | None = None) -> ScenarioC
     resolved = dict(_require_mapping(data, "config"))
     preset = resolved.pop("preset", default_preset)
     if preset is not None:
-        if preset not in PRESET_NAMES:
-            raise ConfigError(f"preset must be one of: {', '.join(PRESET_NAMES)}; "
-                              f"got {preset!r}")
+        if preset != PRESET:
+            raise ConfigError(f"preset must be one of: {PRESET}; got {preset!r}")
         resolved = _deep_merge(preset_config(preset), resolved)
     settings = _validate(resolved)
     try:
@@ -552,8 +534,8 @@ def parse_json_text(text: str) -> SweepResult:
                        constants_version=data["constants_version"])
 
 
-# output format -> serializer; the one list of formats the config, the CLI
-# and write_output accept
+# output format -> serializer; the one list of formats --format and
+# write_output accept
 OUTPUT_FORMATS = {"csv": result_to_csv_text, "json": result_to_json_text}
 _FORMAT_NAMES = " or ".join(map(repr, OUTPUT_FORMATS))
 

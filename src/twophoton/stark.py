@@ -158,11 +158,11 @@ def dipole_product_sp_field_derivative(field: LateralField,
 _P_SHELL = (("conduction-p", "omega_e"), ("valence-p", "omega_h"))
 
 
-def _m12_raw(omega1, omega2, field: LateralField, model: QuantumDotModel,
-             direction: str):
-    """Array-friendly core of m12; omega1/omega2 are raw rad/s scalars or
-    numpy arrays broadcast against each other. The detuning sum is field
-    free and the field enters once, through the dipole product. Raises
+def _detuning_sum(omega1, omega2, model: QuantumDotModel, direction: str):
+    """The field-free factor of m12, |sum_k (1/D1 + 1/D2)|, s; omega1/omega2
+    are raw rad/s scalars or numpy arrays broadcast against each other.
+    Callers multiply the field's dipole product in last, so that a
+    subnormal product costs no digits while the rate is a normal float. Raises
     SingularDetuningError when a denominator magnitude falls below
     DEFAULT_MIN_DETUNING."""
     if direction not in (ABSORPTION, EMISSION):
@@ -185,7 +185,7 @@ def _m12_raw(omega1, omega2, field: LateralField, model: QuantumDotModel,
         # free them before the next state's are made: on a quadrature grid
         # each is as large as the grid
         del d1, d2
-    return dipole_product_sp(field, model) * abs(total)
+    return abs(total)
 
 
 def m12(omega1: AngularFrequency, omega2: AngularFrequency, field: LateralField,
@@ -199,4 +199,5 @@ def m12(omega1: AngularFrequency, omega2: AngularFrequency, field: LateralField,
     denominators of state k for the chosen direction. The mode overlaps
     belong to the photon legs (rates.PhotonChannel, CavityMode.psi).
     """
-    return float(_m12_raw(omega1.rad_per_s, omega2.rad_per_s, field, model, direction))
+    return float(dipole_product_sp(field, model)
+                 * _detuning_sum(omega1.rad_per_s, omega2.rad_per_s, model, direction))

@@ -9,7 +9,8 @@ import pytest
 
 import twophoton
 from twophoton.cli import _build_parser, main
-from twophoton.scenario import parse_json_text, reproduce_fig3a, result_to_csv_text
+from twophoton.scenario import (load_config, parse_json_text, reproduce_fig3a,
+                                result_to_csv_text, run_sweep)
 
 
 @pytest.fixture
@@ -21,12 +22,15 @@ def cfg_path(tmp_path):
     return str(path)
 
 
-def test_sweep_to_stdout(cfg_path, capsys):
+def test_sweep_to_stdout(cfg_path, capsys, tmp_path):
+    # with neither --output nor --format: CSV to stdout, no file written
     assert main(["sweep", "--config", cfg_path]) == 0
     out = capsys.readouterr().out
     lines = out.splitlines()
     assert len(lines) == 6
     assert lines[0].startswith("field_V_per_um,omega_eff_over_2pi_Hz,")
+    assert out == result_to_csv_text(run_sweep(load_config(cfg_path)))
+    assert list(tmp_path.iterdir()) == [Path(cfg_path)]
 
 
 def test_sweep_json_to_stdout(cfg_path, capsys):
@@ -43,15 +47,19 @@ def test_sweep_to_file_json(cfg_path, tmp_path):
     assert parsed.constants_version == "codata2018"
 
 
-def test_sweep_uses_config_output_block(tmp_path):
+def test_sweep_rejects_config_output_block(tmp_path, capsys):
+    # --output and --format are the one way to choose where a sweep goes
     out = tmp_path / "from_config.csv"
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(
         "preset: paper-fig3\n"
         "sweep:\n  variable: field\n  min: 0.0\n  max: 1.0\n  points: 3\n"
         f"output:\n  path: {out}\n  format: csv\n")
-    assert main(["sweep", "--config", str(cfg)]) == 0
-    assert out.read_text().count("\n") == 4
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "unknown key 'output' in config" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_sweep_missing_config_exits_2(capsys):

@@ -1,8 +1,10 @@
 """The repository tools: tools/outputs.py writes the canonical outputs and
-diffs two sets of them, the benchmark's tracer finds a span for every
+diffs two sets of them, tools/loc.py counts the config keys and CLI flags
+the package defines, the benchmark's tracer finds a span for every
 layer it times on the figure sweeps, and the benchmark's README config
 still fails with the error it documents."""
 
+import argparse
 import csv
 import importlib.util
 import io
@@ -15,15 +17,15 @@ TOOLS = ROOT / "tools"
 BENCH = ROOT / "bench"
 
 
-def _outputs_module():
-    spec = importlib.util.spec_from_file_location("outputs", TOOLS / "outputs.py")
+def _tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_outputs_write_and_diff(tmp_path, capsys):
-    outputs = _outputs_module()
+    outputs = _tool("outputs")
     written = tmp_path / "a"
     assert outputs.main(["write", str(written)]) == 0
     names = sorted(path.name for path in written.iterdir())
@@ -52,6 +54,24 @@ def test_outputs_write_and_diff(tmp_path, capsys):
     assert "  gamma_opse_over_2pi_Hz: 1 of 60 rows changed, max rel 1.00e-09" in out
     assert "  omega_eff_over_2pi_Hz: 0 of 60 rows changed" in out
     assert "field-mode-d.json: identical" in out
+
+
+def test_loc_counts_config_keys_and_cli_flags(capsys):
+    from twophoton.cli import _build_parser
+    from twophoton.scenario import _KEYS
+
+    loc = _tool("loc")
+    source = ROOT / "src" / "twophoton"
+    keys = sum(len(keys) for keys in _KEYS.values())
+    subparsers = next(action for action in _build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    flags = sum(1 for sub in subparsers.choices.values() for action in sub._actions
+                if action.option_strings != ["-h", "--help"])
+    assert (loc.config_keys(source / "scenario.py"), loc.cli_flags(source / "cli.py")) \
+        == (keys, flags)
+    assert loc.main([str(source)]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [f"config keys {keys}",
+                                                         f"CLI flags {flags}"]
 
 
 def test_figure_sweeps_reach_every_traced_rates_cavity_and_presets_name(monkeypatch):

@@ -7,7 +7,9 @@ script's parent) and in total, prints the non-blank lines that are not
 comments, counted two ways: with docstrings, and without the lines that
 module, class and function docstrings span; and the number of public
 names, the length of the module's literal __all__ ("-" without one).
-Standard library only.
+Then it counts the options a user can set: the config keys of
+scenario._SCHEMA, each key of a one-of group counted, and the `--` flags
+cli._build_parser adds. Standard library only.
 """
 
 from __future__ import annotations
@@ -29,13 +31,16 @@ def _docstring_lines(tree: ast.AST) -> set[int]:
     return lines
 
 
+def _assigned(tree: ast.Module, name: str) -> ast.expr | None:
+    """The value of the module-level assignment to `name`, if any."""
+    return next((node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(target, "id", None) == name for target in node.targets)),
+                None)
+
+
 def _public_names(tree: ast.Module) -> int | None:
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(target, ast.Name) and target.id == "__all__"
-                for target in node.targets):
-            return len(ast.literal_eval(node.value))
-    return None
+    names = _assigned(tree, "__all__")
+    return None if names is None else len(ast.literal_eval(names))
 
 
 def count(path: Path) -> tuple[int, int, int | None]:
@@ -50,6 +55,38 @@ def count(path: Path) -> tuple[int, int, int | None]:
             _public_names(tree))
 
 
+def config_keys(path: Path) -> int:
+    """Keys of the _SCHEMA dict in scenario.py, a one-of group (a tuple,
+    literal or named) counting each of its keys."""
+    tree = ast.parse(path.read_text())
+    total = 0
+    for section in _assigned(tree, "_SCHEMA").values:
+        for key in section.keys:
+            value = ast.literal_eval(_assigned(tree, key.id) if isinstance(key, ast.Name)
+                                     else key)
+            total += len(value) if isinstance(value, tuple) else 1
+    return total
+
+
+def _flags(node: ast.AST, times: int = 1) -> int:
+    # add_argument("--...") calls under node, each counted once per pass of
+    # the literal-tuple for loops around it
+    if isinstance(node, ast.For) and isinstance(node.iter, (ast.Tuple, ast.List)):
+        times *= len(node.iter.elts)
+    found = isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+        and node.func.attr == "add_argument" and bool(node.args) \
+        and isinstance(node.args[0], ast.Constant) \
+        and str(node.args[0].value).startswith("--")
+    return times * found + sum(_flags(child, times) for child in ast.iter_child_nodes(node))
+
+
+def cli_flags(path: Path) -> int:
+    """`--` options _build_parser in cli.py adds, over all subcommands."""
+    tree = ast.parse(path.read_text())
+    return _flags(next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                       and node.name == "_build_parser"))
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src" / "twophoton"
     totals = [0, 0, 0]
@@ -60,6 +97,8 @@ def main(argv: list[str]) -> int:
         print(f"{path.name:<24}{with_doc:>17}{without:>9}"
               f"{'-' if public is None else public:>9}")
     print(f"{'total':<24}{totals[0]:>17}{totals[1]:>9}{totals[2]:>9}")
+    print(f"config keys {config_keys(root / 'scenario.py')}")
+    print(f"CLI flags {cli_flags(root / 'cli.py')}")
     return 0
 
 
