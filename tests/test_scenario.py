@@ -263,12 +263,16 @@ WRONG_TYPES = [3, "three", [3], None]
 
 @pytest.mark.parametrize("path_keys,path", [
     (("dot",), "dot"), (("modes",), "modes"), (("modes", 0), "modes[0]"),
-    (("drives",), "drives"), (("drives", 2), "drives[2]"), (("sweep",), "sweep")])
+    (("drives",), "drives"), (("drives", 2), "drives[2]"), (("sweep",), "sweep"),
+    (("output",), "output")])
 @pytest.mark.parametrize("value", WRONG_TYPES, ids=repr)
 def test_wrong_type_names_its_path(path_keys, path, value):
     with pytest.raises(ConfigError) as err:
         config_from_dict(_mutated(path_keys, value))
-    assert str(err.value).startswith(path + " ")
+    # output is no section (--output/--format choose where a sweep goes), so
+    # a value of any type there is an unknown key, named in the message
+    prefix = "unknown key 'output' in config" if path == "output" else path + " "
+    assert str(err.value).startswith(prefix)
 
 
 def test_field_sweep_drive_past_dot_line_names_its_wavelength():
