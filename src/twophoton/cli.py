@@ -7,8 +7,9 @@
         --v1-cubic-wavelengths 1 --v2-cubic-wavelengths 1
 
 Every subcommand works on the paper-fig3 preset: sweep merges a config
-that names no preset onto it; the fig3 commands run it directly;
-enhancement takes wavelengths, couplings and spot areas from it. Exit codes:
+that names no preset onto it (--config is always a file path); the fig3
+commands run it directly; enhancement takes wavelengths, in-couplings (each
+mode's eta) and spot areas from it. Exit codes:
 0 success, 2 config/usage error, 1 runtime failure; errors name the field
 or grid point responsible.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from pathlib import Path
 
 from .cavity import purcell_factor
 from .presets import PRESET
@@ -47,7 +49,7 @@ def _emit(result, fmt: str, path: str | None) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    config = load_config(args.config, default_preset=PRESET)
+    config = load_config(Path(args.config), default_preset=PRESET)
     _emit(run_sweep(config), args.format, args.output)
     return 0
 
@@ -65,7 +67,15 @@ def _cmd_enhancement(args) -> int:
             raise ConfigError(f"{name} must be positive and finite, got {value!r}")
     modes = [{"quality": args.q1, "volume_cubic_wavelengths": args.v1_cubic_wavelengths},
              {"quality": args.q2, "volume_cubic_wavelengths": args.v2_cubic_wavelengths}]
-    ex = config_from_dict({"preset": PRESET, "modes": modes}).experiment
+    try:
+        ex = config_from_dict({"preset": PRESET, "modes": modes}).experiment
+    except ConfigError as exc:
+        # flags that pass the checks above fail to build only as a volume that
+        # is 0 in m^3 ("modes[i]: ..."); name the flag, since no modes[i] was written
+        entry, _, reason = str(exc).partition(": ")
+        if entry not in ("modes[0]", "modes[1]"):
+            raise
+        raise ConfigError(f"--v{int(entry[6]) + 1}-cubic-wavelengths: {reason}") from exc
     host = ex.dot.host
     values = {}
     for i, mode, drive in ((1, ex.mode1, ex.drive1), (2, ex.mode2, ex.drive2)):
@@ -102,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sweep = sub.add_parser("sweep", help="run the sweep described by a config file")
-    p_sweep.add_argument("--config", required=True, help="YAML (or .json) config path")
+    p_sweep.add_argument("--config", required=True, help="YAML (or .json) config file path")
     p_sweep.add_argument("--output", help="output path (default: stdout)")
     p_sweep.add_argument("--format", choices=tuple(OUTPUT_FORMATS), default="csv",
                          help="output format (default: csv)")

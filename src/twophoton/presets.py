@@ -5,7 +5,8 @@ point that fig3a and fig3b sweep and the test suite uses: 926 nm dot
 transition, 12/6 meV electron/hole lateral confinement, a 1550 nm
 telecom mode and its energy-conserving partner, Q = 5000 and
 single-cubic-wavelength volumes for both modes, 2% in-coupling, 12 uW
-absorption drives over a 1 um^2 spot, and a 100 uW stimulation drive.
+absorption drives over a 1 um^2 spot, and a 100 uW stimulation drive,
+which feeds mode 2 only and so has no spot.
 
 The preset is a plain dict in the scenario-config schema so user configs
 can override any single value; build_experiment turns a resolved dict into
@@ -67,7 +68,8 @@ def _paper_fig3() -> dict:
             {"wavelength_nm": _PUMP_WAVELENGTH_NM, "power_uw": 12.0,
              "spot_area_um2": 1.0},
             {"omega_rad_per_s": omega_2, "power_uw": 12.0, "spot_area_um2": 1.0},
-            {"omega_rad_per_s": omega_2, "power_uw": 100.0, "spot_area_um2": 1.0},
+            # feeds mode 2 only, so it has no bulk beam and no spot
+            {"omega_rad_per_s": omega_2, "power_uw": 100.0},
         ],
         "sweep": {
             "variable": "field",
@@ -98,9 +100,6 @@ def _entry_omega(entry: dict) -> AngularFrequency:
 def _build_mode(entry: dict, host: BulkHost) -> CavityMode:
     omega = _entry_omega(entry)
     overlaps = {key: entry[key] for key in ("eta", "psi") if key in entry}
-    if "volume_m3" in entry:
-        return CavityMode(omega_c=omega, quality=entry["quality"],
-                          volume=entry["volume_m3"], **overlaps)
     return mode_at_wavelength(
         angular_frequency_to_wavelength(omega), host, entry["quality"],
         volume_cubic_wavelengths=entry["volume_cubic_wavelengths"], **overlaps)
@@ -108,12 +107,8 @@ def _build_mode(entry: dict, host: BulkHost) -> CavityMode:
 
 def _build_drive(entry: dict) -> DriveField:
     spot = entry.get("spot_area_um2")
-    return DriveField(
-        omega=_entry_omega(entry),
-        power=entry["power_uw"] * 1e-6,
-        spot_area=None if spot is None else spot * 1e-12,
-        coupling=entry.get("coupling"),
-    )
+    return DriveField(_entry_omega(entry), entry["power_uw"] * 1e-6,
+                      None if spot is None else spot * 1e-12)
 
 
 def _build_dot(entry: dict) -> QuantumDotModel:

@@ -103,21 +103,18 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class DriveField:
-    """Classical laser drive: frequency, power, a focal spot area (bulk
-    propagation) and an in-coupling efficiency (cavity feeding)."""
+    """Classical laser drive: frequency, power and a focal spot area (bulk
+    propagation). Its in-coupling into a cavity is the mode's eta."""
 
     omega: AngularFrequency
     power: float                     # W
     spot_area: float | None = None   # m^2
-    coupling: float | None = None    # overrides the mode's eta when set
 
     def __post_init__(self):
         if self.power < 0.0 or not math.isfinite(self.power):
             raise ValueError(f"drive power must be nonnegative, got {self.power!r}")
         if self.spot_area is not None and not (self.spot_area > 0.0):
             raise ValueError(f"spot area must be positive, got {self.spot_area!r}")
-        if self.coupling is not None and not (0.0 <= self.coupling <= 1.0):
-            raise ValueError(f"coupling must lie in [0, 1], got {self.coupling!r}")
 
 
 @dataclass(frozen=True)
@@ -259,9 +256,8 @@ def photon_number_bulk(drive: DriveField, volume: float, host: BulkHost) -> floa
 def photon_number_cavity(drive: DriveField, mode: CavityMode) -> float:
     """Steady-state intracavity photon number N = eta P Q phi / (hbar w^2),
     with phi evaluated at the drive frequency."""
-    eta = drive.coupling if drive.coupling is not None else mode.eta
     phi = lorentzian_mismatch(drive.omega, mode)
-    return eta * drive.power * mode.quality * phi / (HBAR * drive.omega.rad_per_s**2)
+    return mode.eta * drive.power * mode.quality * phi / (HBAR * drive.omega.rad_per_s**2)
 
 
 # --- spontaneous-emission spectral densities ------------------------------
@@ -482,7 +478,7 @@ def _tpa_enhancement(drive: DriveField, mode: CavityMode, host: BulkHost) -> flo
     """G = eta Q phi A lambda / (pi V n) at the drive frequency: the
     intracavity photon number over the bulk one inside the mode volume.
     The drive power cancels, so both are taken at 1 W."""
-    unit = DriveField(drive.omega, 1.0, drive.spot_area, drive.coupling)
+    unit = DriveField(drive.omega, 1.0, drive.spot_area)
     return photon_number_cavity(unit, mode) / photon_number_bulk(unit, mode.volume, host)
 
 

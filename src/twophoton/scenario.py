@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -142,7 +143,6 @@ class _Number:
 _POSITIVE = _Number(min=0.0, exclusive=True)
 _FRACTION = _Number(min=0.0, max=1.0, required=False)
 _FREQUENCY = ("wavelength_nm", "omega_rad_per_s")
-_VOLUME = ("volume_cubic_wavelengths", "volume_m3")
 
 # The config schema: each section's keys, in check order, with the rule for
 # each numeric key. A tuple of keys is a one-of group (exactly one of them
@@ -153,11 +153,10 @@ _SCHEMA = {
             "hole_mass_ratio": _POSITIVE, "electron_confinement_mev": _POSITIVE,
             "hole_confinement_mev": _POSITIVE, "r_cv_nm": _POSITIVE,
             "refractive_index": _Number(min=1.0)},
-    "modes": {_FREQUENCY: _POSITIVE, "quality": _POSITIVE, _VOLUME: _POSITIVE,
-              "eta": _FRACTION, "psi": _FRACTION},
+    "modes": {_FREQUENCY: _POSITIVE, "quality": _POSITIVE,
+              "volume_cubic_wavelengths": _POSITIVE, "eta": _FRACTION, "psi": _FRACTION},
     "drives": {_FREQUENCY: _POSITIVE, "power_uw": _Number(min=0.0),
-               "spot_area_um2": _Number(min=0.0, exclusive=True, required=False),
-               "coupling": _FRACTION},
+               "spot_area_um2": _Number(min=0.0, exclusive=True, required=False)},
     "sweep": {"variable": None, "min": _Number(min=0.0), "max": _Number(),
               "points": _Number(min=2, max=MAX_SWEEP_POINTS, integer=True),
               "log": None, "field_v_per_um": _Number(min=0.0, required=False)},
@@ -169,6 +168,10 @@ _KEYS = {name: {key for group in rules
 # list sections: fewest and most entries, and what the entries are
 _LISTS = {"modes": (2, 3, "2 or 3 cavity modes"),
           "drives": (3, 3, "exactly 3 entries (photon-1, photon-2, stimulation)")}
+# (entry, key, reason): a key its section takes that this entry's place
+# leaves unread, so setting it there is an error rather than a no-op
+_UNREAD = (("modes[2]", "eta", "no drive feeds the third mode"),
+           ("drives[2]", "spot_area_um2", "the stimulation drive has no bulk beam"))
 
 
 def _require_mapping(value, path: str) -> dict:
@@ -192,8 +195,9 @@ def _number(entry: dict, key: str, path: str, rule: _Number):
     value = entry[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}.{key} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}.{key} must be finite, got {value!r}")
+    if not abs(value) <= sys.float_info.max:   # nan, +-inf, or an int past the float range
+        got = "an integer beyond the float range" if isinstance(value, int) else repr(value)
+        raise ConfigError(f"{path}.{key} must be finite, got {got}")
     if rule.integer and int(value) != value:
         raise ConfigError(f"{path}.{key} must be an integer, got {value!r}")
     if rule.min is not None:
@@ -282,9 +286,9 @@ def _validate(config: dict) -> dict:
     for name, rules in _SCHEMA.items():
         for path, entry in _entries(config, name):
             _check_keys(entry, path, _KEYS[name])
-            if path == "modes[2]" and "eta" in entry:
-                raise ConfigError("modes[2].eta is not accepted: no drive feeds "
-                                  "the third mode")
+            for where, key, reason in _UNREAD:
+                if path == where and key in entry:
+                    raise ConfigError(f"{path}.{key} is not accepted: {reason}")
             if name == "sweep":   # its numbers interleave with its cross-key rules
                 settings = _check_sweep(entry, config["drives"])
             else:
@@ -352,17 +356,20 @@ def config_from_dict(data: dict, default_preset: str | None = None) -> ScenarioC
 def load_config(source: str | Path,
                 default_preset: str | None = None) -> ScenarioConfig:
     """Build a ScenarioConfig from a config file path or inline YAML text.
-    A file whose name ends in .json is read as JSON, anything else as YAML."""
+    A Path is always a file; so is a str naming one, or a one-line str
+    ending in .yaml, .yml or .json. A file whose name ends in .json is read
+    as JSON, anything else as YAML."""
     text, parse, syntax = source, yaml.safe_load, "YAML"
-    if isinstance(source, Path) or os.path.exists(source):
+    if isinstance(source, Path) or os.path.exists(source) or (
+            "\n" not in source and source.endswith((".yaml", ".yml", ".json"))):
         try:
             text = Path(source).read_text()
+        except FileNotFoundError as exc:
+            raise ConfigError(f"config file not found: {source}") from exc
         except OSError as exc:
             raise ConfigError(f"cannot read config {source}: {exc}") from exc
         if str(source).endswith(".json"):
             parse, syntax = json.loads, "JSON"
-    elif "\n" not in source and source.endswith((".yaml", ".yml", ".json")):
-        raise ConfigError(f"config file not found: {source}")
     try:
         data = parse(text)
     except (yaml.YAMLError, ValueError) as exc:

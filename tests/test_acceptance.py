@@ -11,6 +11,7 @@ so the expected region boundaries are not met. The checks stay strict;
 every ingredient they compose is pinned green elsewhere in the suite.
 """
 
+import dataclasses
 import math
 import time
 
@@ -149,10 +150,11 @@ def test_c03_stimulation_factor(dot):
                 AngularFrequency(w2 * (1.0 + rng.uniform(-2.0, 2.0) / q2))),
             dot.host, q2, eta=rng.uniform(0.05, 1.0), psi=rng.uniform(0.2, 1.0),
             volume_cubic_wavelengths=rng.uniform(0.3, 3.0))
-        coupling = rng.uniform(0.05, 1.0) if i % 2 else None
-        drive2 = DriveField(AngularFrequency(w2), 10.0 ** rng.uniform(-6.0, -3.0),
-                            coupling=coupling)
-        eta2 = coupling if coupling is not None else mode2.eta
+        if i % 2:
+            # odd draws redraw the in-coupling of mode 2, which feeds drive 2
+            mode2 = dataclasses.replace(mode2, eta=rng.uniform(0.05, 1.0))
+        drive2 = DriveField(AngularFrequency(w2), 10.0 ** rng.uniform(-6.0, -3.0))
+        eta2 = mode2.eta
 
         rate = tpste_rate(dot, field, mode1, mode2, drive2)
         density = tpse_spectral_density_cavity(drive2.omega, dot, field,

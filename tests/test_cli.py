@@ -67,6 +67,17 @@ def test_sweep_missing_config_exits_2(capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["cfg.txt", "sweep: {points: 3}"],
+                         ids=["no-yaml-suffix", "inline-yaml"])
+def test_sweep_config_is_always_a_path(tmp_path, monkeypatch, capsys, name):
+    # neither a missing file of any name nor YAML text is read as inline config
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--config", name]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: config file not found: {name}\n"
+    assert captured.out == ""
+
+
 def test_sweep_invalid_config_names_field(tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(
@@ -91,8 +102,16 @@ def test_omega2_sweep_nonpositive_min_exits_2(tmp_path, capsys):
     ("modes: 3\n", "modes must list"),
     ("dot:\n  wavelength_nm: 1.0e-320\n", "dot: wavelength must be positive"),
     ("sweep:\n  max: 1.0e+308\n", "sweep.max must be finite in V/m"),
+    ("sweep:\n  points: 1" + "0" * 400 + "\n",
+     "sweep.points must be finite, got an integer beyond the float range"),
+    ("modes:\n  - {volume_m3: 1.0e-19}\n", "unknown key 'volume_m3' in modes[0]"),
+    ("drives:\n  - {}\n  - {}\n  - {coupling: 0.5}\n",
+     "unknown key 'coupling' in drives[2]"),
+    ("drives:\n  - {}\n  - {}\n  - {spot_area_um2: 1.0}\n",
+     "drives[2].spot_area_um2 is not accepted"),
 ], ids=["drive-past-dot-line", "dot-line-below-drives", "modes-not-a-list",
-        "dot-line-underflows", "field-sweep-max-overflows-in-v-per-m"])
+        "dot-line-underflows", "field-sweep-max-overflows-in-v-per-m",
+        "points-past-float-range", "volume-m3", "drive-coupling", "stimulation-spot"])
 def test_config_error_exits_2(tmp_path, capsys, override, fragment):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("preset: paper-fig3\n" + override)
@@ -210,6 +229,20 @@ def test_enhancement_nonfinite_value_names_its_flags(capsys, q1, q2, v1, v2, mes
     assert err == message
 
 
+@pytest.mark.parametrize("i", [1, 2])
+def test_enhancement_volume_that_underflows_names_its_flag(capsys, i):
+    # 1e-320 (lambda/n)^3 is 0 m^3; the user wrote the flag, not modes[i - 1]
+    volumes = {1: "1", 2: "1"}
+    volumes[i] = "1e-320"
+    assert main(["enhancement", "--q1", "5000", "--q2", "5000",
+                 "--v1-cubic-wavelengths", volumes[1],
+                 "--v2-cubic-wavelengths", volumes[2]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: --v{i}-cubic-wavelengths: mode volume must be "
+                   f"positive, got 0.0\n")
+
+
 def test_json_config_file_sweeps(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text('{"preset": "paper-fig3", "sweep": {"variable": "field", '
@@ -218,6 +251,17 @@ def test_json_config_file_sweeps(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4
     assert float(lines[1].split(",")[0]) == pytest.approx(1e-05, rel=1e-15)
+
+
+def test_json_integer_past_float_range_exits_2(tmp_path, capsys):
+    # json.loads makes an int of any size; math.isfinite cannot take it
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"preset": "paper-fig3", "dot": {"refractive_index": 1%s}}'
+                   % ("0" * 400))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "error: dot.refractive_index must be finite, got an integer beyond the "
+        "float range\n")
 
 
 def test_malformed_json_config_exits_2(tmp_path, capsys):

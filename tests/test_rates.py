@@ -216,11 +216,11 @@ def test_photon_number_cavity_values(experiment):
         == pytest.approx(141.3965739805545, rel=1e-12)
 
 
-def test_photon_number_cavity_coupling_override(experiment):
+def test_photon_number_cavity_is_linear_in_mode_eta(experiment):
+    # a drive's in-coupling is its mode's eta (0.02 on the preset)
     base = photon_number_cavity(experiment.drive1, experiment.mode1)
-    drive = DriveField(experiment.drive1.omega, experiment.drive1.power,
-                       coupling=0.04)
-    assert photon_number_cavity(drive, experiment.mode1) == pytest.approx(
+    mode = dataclasses.replace(experiment.mode1, eta=0.04)
+    assert photon_number_cavity(experiment.drive1, mode) == pytest.approx(
         2.0 * base, rel=1e-14)
 
 
@@ -568,8 +568,6 @@ def test_drive_field_validation(experiment):
         DriveField(omega, -1e-6)
     with pytest.raises(ValueError):
         DriveField(omega, 1e-6, spot_area=0.0)
-    with pytest.raises(ValueError):
-        DriveField(omega, 1e-6, coupling=1.5)
 
 
 def test_photon_channel_validation(experiment):

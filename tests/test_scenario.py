@@ -67,8 +67,10 @@ def test_preset_round_trips_parameter_values():
     assert r["drives"][0]["power_uw"] == 12.0
     assert r["drives"][1]["power_uw"] == 12.0
     assert r["drives"][2]["power_uw"] == 100.0
-    for entry in r["drives"]:
+    for entry in r["drives"][:2]:
         assert entry["spot_area_um2"] == 1.0
+    # the stimulation drive feeds mode 2 only: no bulk beam, no spot
+    assert "spot_area_um2" not in r["drives"][2]
     ex = cfg.experiment
     # mode 2 sits exactly at the energy-conserving partner frequency
     assert ex.mode2.omega_c.rad_per_s == pytest.approx(
@@ -108,17 +110,17 @@ def test_load_config_missing_file_and_bad_yaml(tmp_path):
 
 
 def test_json_config_file_is_read_as_json(tmp_path):
-    # json.dumps writes 1e-05 and 2.5e-19, which YAML 1.1 reads as strings
+    # json.dumps writes 1e-05 and 2e-05, which YAML 1.1 reads as strings
     doc = preset_config("paper-fig3")
-    del doc["modes"][1]["volume_cubic_wavelengths"]
-    doc["modes"][1]["volume_m3"] = 2.5e-19
+    doc["drives"][2]["power_uw"] = 2e-05
     doc["sweep"] = {"variable": "field", "min": 1e-05, "max": 2.0, "points": 3,
                     "log": True}
     path = tmp_path / "c.json"
     path.write_text(json.dumps(doc))
+    assert '"power_uw": 2e-05' in path.read_text()
     config = load_config(path)
     assert config.grid[0] == 1e-05
-    assert config.experiment.mode2.volume == 2.5e-19
+    assert config.resolved["drives"][2]["power_uw"] == 2e-05
     assert load_config(str(path)).config_hash == config.config_hash
 
 
@@ -169,18 +171,24 @@ REJECTIONS = [
     (("modes", 0, "eta"), 1.5, "modes[0].eta"),
     (("modes", 1, "psi"), -0.2, "modes[1].psi"),
     (("modes", 0, "omega_rad_per_s"), 1e15, "exactly one of wavelength_nm"),
-    (("modes", 0, "volume_m3"), 1e-19, "exactly one of volume_cubic_wavelengths"),
+    # volume_cubic_wavelengths is the one volume key
+    (("modes", 0, "volume_m3"), 1e-19, "unknown key 'volume_m3' in modes[0]"),
     (("modes", 0, "surprise"), 1.0, "unknown key 'surprise' in modes[0]"),
     # no drive feeds a third mode, so its in-coupling would be ignored
     (("modes",), preset_config("paper-fig3")["modes"] + [
         {"wavelength_nm": 926.0, "quality": 5000.0, "volume_cubic_wavelengths": 1.0,
          "eta": 0.5}],
      "modes[2].eta is not accepted: no drive feeds the third mode"),
+    # ... and the stimulation drive feeds its cavity mode only, so it takes no spot
+    (("drives", 2, "spot_area_um2"), 1.0,
+     "drives[2].spot_area_um2 is not accepted: the stimulation drive has no "
+     "bulk beam"),
     (("drives", 0, "power_uw"), -1.0, "drives[0].power_uw"),
     (("drives", 1, "spot_area_um2"), 0.0, "drives[1].spot_area_um2"),
     (("drives", 0, "spot_area_um2"), _DELETE, "drives[0].spot_area_um2"),
     (("drives", 1, "spot_area_um2"), _DELETE, "drives[1].spot_area_um2"),
-    (("drives", 2, "coupling"), 2.0, "drives[2].coupling"),
+    # a drive's in-coupling is its mode's eta
+    (("drives", 2, "coupling"), 0.5, "unknown key 'coupling' in drives[2]"),
     (("drives", 0, "wavelength_nm"), _DELETE, "exactly one of wavelength_nm"),
     (("drives", 0, "oops"), 1.0, "unknown key 'oops' in drives[0]"),
     (("sweep", "variable"), "power", "sweep.variable"),
@@ -191,6 +199,12 @@ REJECTIONS = [
     (("sweep", "points"), 2.5, "sweep.points"),
     (("sweep", "points"), MAX_SWEEP_POINTS + 1, "sweep.points"),
     (("sweep", "points"), math.inf, "sweep.points must be finite"),
+    # a YAML or JSON integer past the float range, which math.isfinite cannot take
+    (("sweep", "points"), 10**400,
+     "sweep.points must be finite, got an integer beyond the float range"),
+    (("dot", "refractive_index"), 10**400,
+     "dot.refractive_index must be finite, got an integer beyond the float range"),
+    (("drives", 0, "power_uw"), -10**400, "drives[0].power_uw must be finite"),
     (("sweep", "log"), "yes", "sweep.log"),
     (("sweep", "field_v_per_um"), 0.75, "field_v_per_um"),
     (("sweep", "stride"), 3, "unknown key 'stride' in sweep"),
@@ -264,14 +278,20 @@ WRONG_TYPES = [3, "three", [3], None]
 @pytest.mark.parametrize("path_keys,path", [
     (("dot",), "dot"), (("modes",), "modes"), (("modes", 0), "modes[0]"),
     (("drives",), "drives"), (("drives", 2), "drives[2]"), (("sweep",), "sweep"),
-    (("output",), "output")])
+    (("output",), "output"), (("modes", 0, "volume_m3"), "modes[0]"),
+    (("drives", 2, "coupling"), "drives[2]")])
 @pytest.mark.parametrize("value", WRONG_TYPES, ids=repr)
 def test_wrong_type_names_its_path(path_keys, path, value):
     with pytest.raises(ConfigError) as err:
         config_from_dict(_mutated(path_keys, value))
-    # output is no section (--output/--format choose where a sweep goes), so
-    # a value of any type there is an unknown key, named in the message
-    prefix = "unknown key 'output' in config" if path == "output" else path + " "
+    # output is no section (--output/--format choose where a sweep goes), and
+    # volume_m3 and coupling are no keys (a mode's volume is in (lambda/n)^3,
+    # a drive's in-coupling is its mode's eta), so a value of any type there
+    # is an unknown key, named in the message with the mapping that holds it
+    if path_keys[-1] in ("output", "volume_m3", "coupling"):
+        prefix = f"unknown key {path_keys[-1]!r} in {path if path != 'output' else 'config'}"
+    else:
+        prefix = path + " "
     assert str(err.value).startswith(prefix)
 
 
@@ -399,6 +419,9 @@ def _random_dot_sweep(rng: random.Random, log: bool) -> dict:
     drives = [{"omega_rad_per_s": omega * (1.0 - rng.uniform(0.0, 1e-4)),
                "power_uw": log_uniform(1.0, 1e3), "spot_area_um2": rng.uniform(0.5, 5.0)}
               for omega in (omega_1, omega_2, omega_2)]
+    # the stimulation drive takes no spot; it is drawn all the same, so the
+    # draws after it stay those of the seed
+    del drives[2]["spot_area_um2"]
     top = rng.uniform(0.5, 3.0)
     sweep = {"variable": "field", "min": rng.uniform(0.01, 0.1) if log else 0.0,
              "max": top, "points": 5, "log": log}
@@ -519,20 +542,19 @@ def test_omega2_sweep_nonfinite_density_names_grid_point():
         run_sweep(config_from_dict(cfg))
 
 
-def test_mode_volume_m3_is_taken_as_given():
+def test_mode_volume_is_in_cubic_wavelengths():
     cfg = preset_config("paper-fig3")
     cfg["sweep"]["points"] = 3
     base = config_from_dict(copy.deepcopy(cfg))
-    del cfg["modes"][1]["volume_cubic_wavelengths"]
-    cfg["modes"][1]["volume_m3"] = 2.5e-19
+    cfg["modes"][1]["volume_cubic_wavelengths"] = 0.8
     config = config_from_dict(cfg)
-    assert config.experiment.mode2.volume == 2.5e-19
+    assert config.experiment.mode2.volume == pytest.approx(
+        0.8 * base.experiment.mode2.volume, rel=1e-15)
     result = run_sweep(config)
     assert len(result.rows) == 3
     # F2, so F1*F2, goes as 1/V2
     assert result.rows[-1].enhancement_tpse == pytest.approx(
-        run_sweep(base).rows[-1].enhancement_tpse * base.experiment.mode2.volume / 2.5e-19,
-        rel=1e-12)
+        run_sweep(base).rows[-1].enhancement_tpse / 0.8, rel=1e-12)
 
 
 def test_third_mode_scales_opse_by_purcell_times_psi_squared():
@@ -559,7 +581,7 @@ def test_third_mode_scales_opse_by_purcell_times_psi_squared():
 def test_omega2_sweep_needs_no_spot_area():
     # only the field sweep's G1*G2 column uses the bulk beams
     cfg = preset_config("paper-fig3")
-    for drive in cfg["drives"]:
+    for drive in cfg["drives"][:2]:
         del drive["spot_area_um2"]
     assert len(run_sweep(config_from_dict(_omega2_sweep(cfg))).rows) == 3
 
@@ -596,6 +618,58 @@ def test_omega2_spectrum_does_not_depend_on_held_field():
         assert math.isclose(a.tpse_power_bulk_rel, b.tpse_power_bulk_rel, rel_tol=1e-14)
     assert all(row.tpse_power_cavity_rel == row.tpse_power_bulk_rel == 0.0
                for row in spectrum(0.0))
+
+
+# Numeric keys whose small change moves no column of any sweep below. Only
+# the held field: the omega2 spectrum's bulk-peak normalization cancels its
+# p(E)^2, so it moves the rows by rounding (3e-16). ROADMAP item 5 deletes it.
+_NO_OUTPUT = {("sweep", "field_v_per_um")}
+
+
+def _numeric_paths(node, path=()):
+    """The path of every number below node, booleans left out."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        if isinstance(value, (dict, list)):
+            yield from _numeric_paths(value, path + (key,))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path + (key,)
+
+
+def _sweep_columns(cfg: dict) -> list:
+    return [dataclasses.astuple(row) for row in run_sweep(config_from_dict(cfg)).rows]
+
+
+def test_every_numeric_key_moves_an_output():
+    # a key that no output reads is a dead key: nudge each number of the
+    # preset, as a field sweep, as an omega2 sweep and with a third mode at
+    # the dot line, and some column of that sweep must move
+    field = preset_config("paper-fig3")
+    field["sweep"]["points"] = 5
+    with_mode_d = copy.deepcopy(field)
+    with_mode_d["modes"].append({"wavelength_nm": 926.0, "quality": 5000.0,
+                                 "volume_cubic_wavelengths": 1.0, "psi": 1.0})
+    omega2 = _omega2_sweep(preset_config("paper-fig3"))
+    omega2["sweep"]["field_v_per_um"] = 0.75
+    seen, live = set(), set()
+    for base in (field, omega2, with_mode_d):
+        before = _sweep_columns(copy.deepcopy(base))
+        for path in _numeric_paths(base):
+            seen.add(path)
+            cfg = copy.deepcopy(base)
+            target = cfg
+            for key in path[:-1]:
+                target = target[key]
+            value = target[path[-1]]
+            if isinstance(value, int):
+                target[path[-1]] = value + 1
+            else:
+                target[path[-1]] = value * (1.0 - 1e-6) if value else 1e-6
+            after = _sweep_columns(cfg)
+            if len(after) != len(before) or any(
+                    not math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
+                    for row_a, row_b in zip(after, before) for a, b in zip(row_a, row_b)):
+                live.add(path)
+    assert seen - live == _NO_OUTPUT
 
 
 def test_fig3a_shape():

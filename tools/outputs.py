@@ -27,6 +27,7 @@ import difflib
 import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 ENHANCEMENT = ["enhancement", "--q1", "5000", "--q2", "12000",
@@ -72,12 +73,15 @@ def write(directory: Path) -> int:
     directory.mkdir(parents=True, exist_ok=True)
     outputs = {"fig3a.csv": ["fig3a"], "fig3b.csv": ["fig3b"],
                "enhancement.txt": ENHANCEMENT}
-    for name, overrides in SWEEPS.items():
-        # inline YAML text (JSON is YAML); the indent puts it on several lines
-        config = json.dumps({"preset": "paper-fig3", **overrides}, indent=1)
-        for fmt in ("csv", "json"):
-            outputs[f"{name}.{fmt}"] = ["sweep", "--config", config, "--format", fmt]
-    texts = {name: _cli_output(argv) for name, argv in outputs.items()}
+    with tempfile.TemporaryDirectory() as configs:
+        # --config takes a file path; a .json one is read as JSON
+        for name, overrides in SWEEPS.items():
+            config = Path(configs) / f"{name}.json"
+            config.write_text(json.dumps({"preset": "paper-fig3", **overrides}))
+            for fmt in ("csv", "json"):
+                outputs[f"{name}.{fmt}"] = ["sweep", "--config", str(config),
+                                            "--format", fmt]
+        texts = {name: _cli_output(argv) for name, argv in outputs.items()}
     texts["tpse-total.txt"] = _tpse_totals()
     for name, text in texts.items():
         (directory / name).write_text(text)
