@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .quantities import AngularFrequency, Wavelength, wavelength_to_angular_frequency
+from .quantities import (AngularFrequency, Wavelength, _check_range,
+                         wavelength_to_angular_frequency)
 
 __all__ = [
     "BulkHost",
@@ -32,8 +33,7 @@ class BulkHost:
     n: float
 
     def __post_init__(self):
-        if not (self.n >= 1.0) or not math.isfinite(self.n):
-            raise ValueError(f"refractive index must be >= 1, got {self.n!r}")
+        _check_range(self.n, "refractive index", 1.0)
 
 
 @dataclass(frozen=True)
@@ -48,14 +48,10 @@ class CavityMode:
     psi: float = 1.0            # emitter-mode overlap
 
     def __post_init__(self):
-        if not (self.quality > 0.0) or not math.isfinite(self.quality):
-            raise ValueError(f"quality factor must be positive, got {self.quality!r}")
-        if not (self.volume > 0.0) or not math.isfinite(self.volume):
-            raise ValueError(f"mode volume must be positive, got {self.volume!r}")
-        if not (0.0 <= self.eta <= 1.0):
-            raise ValueError(f"coupling efficiency must lie in [0, 1], got {self.eta!r}")
-        if not (0.0 <= self.psi <= 1.0):
-            raise ValueError(f"mode overlap must lie in [0, 1], got {self.psi!r}")
+        _check_range(self.quality, "quality factor", 0.0, exclusive=True)
+        _check_range(self.volume, "mode volume", 0.0, exclusive=True)
+        _check_range(self.eta, "coupling efficiency", 0.0, high=1.0)
+        _check_range(self.psi, "mode overlap", 0.0, high=1.0)
 
 
 def mode_at_wavelength(wavelength: Wavelength, host: BulkHost, quality: float,
@@ -63,9 +59,8 @@ def mode_at_wavelength(wavelength: Wavelength, host: BulkHost, quality: float,
                        volume_cubic_wavelengths: float = 1.0) -> CavityMode:
     """Build a mode centered at a free-space wavelength with volume given in
     units of the cubic in-medium wavelength (lambda/n)^3."""
-    if not (volume_cubic_wavelengths > 0.0):
-        raise ValueError(
-            f"volume must be positive, got {volume_cubic_wavelengths!r} cubic wavelengths")
+    _check_range(volume_cubic_wavelengths, "mode volume in cubic wavelengths", 0.0,
+                 exclusive=True)
     volume = (wavelength.meters / host.n) ** 3 * volume_cubic_wavelengths
     return CavityMode(omega_c=wavelength_to_angular_frequency(wavelength),
                       quality=quality, volume=volume, eta=eta, psi=psi)

@@ -9,7 +9,8 @@
 Every subcommand works on the paper-fig3 preset: sweep merges a config
 that names no preset onto it (--config is always a file path); the fig3
 commands run it directly; enhancement takes wavelengths, in-couplings (each
-mode's eta) and spot areas from it. Exit codes:
+mode's eta) and spot areas from it, and checks its flags by the config rules
+of modes[i].quality and volume_cubic_wavelengths, naming the flag. Exit codes:
 0 success, 2 config/usage error, 1 runtime failure; errors name the field
 or grid point responsible.
 """
@@ -59,23 +60,26 @@ def _cmd_figure(args) -> int:
     return 0
 
 
+# config path -> the enhancement flag that sets it; "modes[i]" alone leads
+# the error of a volume that is 0 in m^3
+_FLAGS = {f"modes[{i}]{key}": flag for i in (0, 1)
+          for key, flag in ((".quality", f"--q{i + 1}"),
+                            (".volume_cubic_wavelengths", f"--v{i + 1}-cubic-wavelengths"),
+                            ("", f"--v{i + 1}-cubic-wavelengths"))}
+
+
 def _cmd_enhancement(args) -> int:
-    for value, name in ((args.q1, "--q1"), (args.q2, "--q2"),
-                        (args.v1_cubic_wavelengths, "--v1-cubic-wavelengths"),
-                        (args.v2_cubic_wavelengths, "--v2-cubic-wavelengths")):
-        if not (value > 0.0 and math.isfinite(value)):
-            raise ConfigError(f"{name} must be positive and finite, got {value!r}")
     modes = [{"quality": args.q1, "volume_cubic_wavelengths": args.v1_cubic_wavelengths},
              {"quality": args.q2, "volume_cubic_wavelengths": args.v2_cubic_wavelengths}]
     try:
         ex = config_from_dict({"preset": PRESET, "modes": modes}).experiment
     except ConfigError as exc:
-        # flags that pass the checks above fail to build only as a volume that
-        # is 0 in m^3 ("modes[i]: ..."); name the flag, since no modes[i] was written
-        entry, _, reason = str(exc).partition(": ")
-        if entry not in ("modes[0]", "modes[1]"):
+        # the config rules check each flag; name the flag, since no modes[i] was written
+        message = str(exc)
+        path = message.split(" ", 1)[0].rstrip(":")
+        if path not in _FLAGS:
             raise
-        raise ConfigError(f"--v{int(entry[6]) + 1}-cubic-wavelengths: {reason}") from exc
+        raise ConfigError(_FLAGS[path] + message[len(path):]) from exc
     host = ex.dot.host
     values = {}
     for i, mode, drive in ((1, ex.mode1, ex.drive1), (2, ex.mode2, ex.drive2)):

@@ -2,7 +2,9 @@
 
 Angular frequency in rad/s is the canonical frequency unit everywhere in
 this package; wavelengths are free-space values in meters and only appear
-at input/output boundaries.
+at input/output boundaries. _check_range is the one "finite and in range"
+rule of every numeric input: the typed quantities of each module and the
+config keys of scenario all call it.
 """
 
 from __future__ import annotations
@@ -31,6 +33,20 @@ QE: Final[float] = 1.602176634e-19                       # C
 M0: Final[float] = 9.1093837015e-31                      # kg
 
 
+def _check_range(value: float, name: str, low: float | None = None,
+                 exclusive: bool = False, high: float | None = None) -> None:
+    """Raise ValueError naming `name` unless value is finite, at least low
+    (above it when exclusive) and at most high, checked in that order. A
+    value that passes builds no message."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if low is not None and not (value > low if exclusive else value >= low):
+        raise ValueError(f"{name} must be {'>' if exclusive else '>='} {low}, "
+                         f"got {value!r}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be <= {high}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AngularFrequency:
     """Angular frequency, rad/s. Must be positive."""
@@ -38,13 +54,7 @@ class AngularFrequency:
     rad_per_s: float
 
     def __post_init__(self):
-        if not (self.rad_per_s > 0.0) or not math.isfinite(self.rad_per_s):
-            raise ValueError(
-                f"angular frequency must be positive and finite, got {self.rad_per_s!r}")
-
-    @property
-    def hz(self) -> float:
-        return self.rad_per_s / (2.0 * math.pi)
+        _check_range(self.rad_per_s, "angular frequency", 0.0, exclusive=True)
 
 
 @dataclass(frozen=True)
@@ -54,13 +64,7 @@ class Wavelength:
     meters: float
 
     def __post_init__(self):
-        if not (self.meters > 0.0) or not math.isfinite(self.meters):
-            raise ValueError(
-                f"wavelength must be positive and finite, got {self.meters!r}")
-
-    @property
-    def nanometers(self) -> float:
-        return self.meters * 1e9
+        _check_range(self.meters, "wavelength", 0.0, exclusive=True)
 
 
 @dataclass(frozen=True)
@@ -70,9 +74,7 @@ class DipoleMoment:
     coulomb_meters: float
 
     def __post_init__(self):
-        if self.coulomb_meters < 0.0 or not math.isfinite(self.coulomb_meters):
-            raise ValueError(
-                f"dipole moment must be nonnegative and finite, got {self.coulomb_meters!r}")
+        _check_range(self.coulomb_meters, "dipole moment", 0.0)
 
 
 def wavelength_to_angular_frequency(wavelength: Wavelength) -> AngularFrequency:
@@ -87,6 +89,5 @@ def angular_frequency_to_wavelength(omega: AngularFrequency) -> Wavelength:
 
 def energy_to_angular_frequency(energy_ev: float) -> AngularFrequency:
     """omega = E / hbar with E given in electronvolts."""
-    if not (energy_ev > 0.0):
-        raise ValueError(f"energy must be positive, got {energy_ev!r} eV")
+    _check_range(energy_ev, "energy in eV", 0.0, exclusive=True)
     return AngularFrequency(energy_ev * QE / HBAR)

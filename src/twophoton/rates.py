@@ -50,6 +50,7 @@ from .quantities import (
     DipoleMoment,
     EPS0,
     HBAR,
+    _check_range,
     angular_frequency_to_wavelength,
 )
 from .stark import (
@@ -111,10 +112,9 @@ class DriveField:
     spot_area: float | None = None   # m^2
 
     def __post_init__(self):
-        if self.power < 0.0 or not math.isfinite(self.power):
-            raise ValueError(f"drive power must be nonnegative, got {self.power!r}")
-        if self.spot_area is not None and not (self.spot_area > 0.0):
-            raise ValueError(f"spot area must be positive, got {self.spot_area!r}")
+        _check_range(self.power, "drive power", 0.0)
+        if self.spot_area is not None:
+            _check_range(self.spot_area, "spot area", 0.0, exclusive=True)
 
 
 @dataclass(frozen=True)
@@ -125,8 +125,7 @@ class Linewidth:
     gamma_d: float
 
     def __post_init__(self):
-        if not (self.gamma_d > 0.0) or not math.isfinite(self.gamma_d):
-            raise ValueError(f"linewidth must be positive, got {self.gamma_d!r}")
+        _check_range(self.gamma_d, "linewidth", 0.0, exclusive=True)
 
 
 @dataclass(frozen=True)
@@ -141,10 +140,9 @@ class PhotonChannel:
     psi: float = 1.0
 
     def __post_init__(self):
-        if not (self.volume > 0.0):
-            raise ValueError(f"channel volume must be positive, got {self.volume!r}")
-        if self.photons < 0.0 or not math.isfinite(self.photons):
-            raise ValueError(f"photon number must be nonnegative, got {self.photons!r}")
+        _check_range(self.volume, "channel volume", 0.0, exclusive=True)
+        _check_range(self.photons, "photon number", 0.0)
+        _check_range(self.psi, "mode overlap", 0.0, high=1.0)
 
 
 @dataclass(frozen=True)
@@ -200,8 +198,8 @@ def quantized_rabi_rate(d: DipoleMoment, omega: AngularFrequency, photons: float
     occ is N+1 for emission (spontaneous and stimulated) and N for
     absorption; absorbing from an empty channel gives exactly zero.
     """
-    if photons < 0.0:
-        raise ValueError(f"photon number must be nonnegative, got {photons!r}")
+    _check_range(photons, "photon number", 0.0)
+    _check_range(volume, "quantization volume", 0.0, exclusive=True)
     if occupation == EMISSION:
         occ = photons + 1.0
     elif occupation == ABSORPTION:
@@ -247,8 +245,7 @@ def photon_number_bulk(drive: DriveField, volume: float, host: BulkHost) -> floa
     N = P V n / (2 c A hbar w)."""
     if drive.spot_area is None:
         raise ValueError("bulk photon number needs drive.spot_area")
-    if not (volume > 0.0):
-        raise ValueError(f"quantization volume must be positive, got {volume!r}")
+    _check_range(volume, "quantization volume", 0.0, exclusive=True)
     return drive.power * volume * host.n / (
         2.0 * C * drive.spot_area * HBAR * drive.omega.rad_per_s)
 

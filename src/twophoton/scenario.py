@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +30,7 @@ import numpy as np
 import yaml
 
 from .presets import PRESET, _reason, build_experiment, preset_config
-from .quantities import CONSTANTS_VERSION, HBAR, AngularFrequency
+from .quantities import CONSTANTS_VERSION, HBAR, AngularFrequency, _check_range
 from .rates import (
     Experiment,
     RateReport,
@@ -131,7 +130,8 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class _Number:
-    """Rule for one numeric config key."""
+    """Rule for one numeric config key: min, exclusive and max are the
+    bounds _check_range applies, the rule the typed inputs use."""
 
     min: float | None = None
     exclusive: bool = False      # the value must exceed min, not just reach it
@@ -195,17 +195,16 @@ def _number(entry: dict, key: str, path: str, rule: _Number):
     value = entry[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}.{key} must be a number, got {value!r}")
-    if not abs(value) <= sys.float_info.max:   # nan, +-inf, or an int past the float range
-        got = "an integer beyond the float range" if isinstance(value, int) else repr(value)
-        raise ConfigError(f"{path}.{key} must be finite, got {got}")
+    # math.isfinite cannot take an int past the float range
+    if isinstance(value, int) and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path}.{key} must be finite, got an integer beyond the "
+                          f"float range")
+    try:
+        _check_range(value, f"{path}.{key}", rule.min, rule.exclusive, rule.max)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if rule.integer and int(value) != value:
         raise ConfigError(f"{path}.{key} must be an integer, got {value!r}")
-    if rule.min is not None:
-        op = ">" if rule.exclusive else ">="
-        if not (value > rule.min if rule.exclusive else value >= rule.min):
-            raise ConfigError(f"{path}.{key} must be {op} {rule.min}, got {value!r}")
-    if rule.max is not None and value > rule.max:
-        raise ConfigError(f"{path}.{key} must be <= {rule.max}, got {value!r}")
     return value
 
 
@@ -356,12 +355,11 @@ def config_from_dict(data: dict, default_preset: str | None = None) -> ScenarioC
 def load_config(source: str | Path,
                 default_preset: str | None = None) -> ScenarioConfig:
     """Build a ScenarioConfig from a config file path or inline YAML text.
-    A Path is always a file; so is a str naming one, or a one-line str
-    ending in .yaml, .yml or .json. A file whose name ends in .json is read
-    as JSON, anything else as YAML."""
+    A Path, or a str with no newline, is a file path; a str that holds a
+    newline is YAML text. A file whose name ends in .json is read as JSON,
+    anything else as YAML."""
     text, parse, syntax = source, yaml.safe_load, "YAML"
-    if isinstance(source, Path) or os.path.exists(source) or (
-            "\n" not in source and source.endswith((".yaml", ".yml", ".json"))):
+    if isinstance(source, Path) or "\n" not in source:
         try:
             text = Path(source).read_text()
         except FileNotFoundError as exc:

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .cavity import BulkHost
-from .quantities import AngularFrequency, DipoleMoment, HBAR, QE
+from .quantities import AngularFrequency, DipoleMoment, HBAR, QE, _check_range
 
 __all__ = [
     "ABSORPTION",
@@ -82,12 +82,9 @@ class QuantumDotModel:
     host: BulkHost
 
     def __post_init__(self):
-        if not (self.m_e_star > 0.0):
-            raise ValueError(f"electron mass must be positive, got {self.m_e_star!r}")
-        if not (self.m_h_star > 0.0):
-            raise ValueError(f"hole mass must be positive, got {self.m_h_star!r}")
-        if not (self.r_cv > 0.0):
-            raise ValueError(f"dipole length must be positive, got {self.r_cv!r}")
+        _check_range(self.m_e_star, "electron mass", 0.0, exclusive=True)
+        _check_range(self.m_h_star, "hole mass", 0.0, exclusive=True)
+        _check_range(self.r_cv, "dipole length", 0.0, exclusive=True)
 
 
 @dataclass(frozen=True)
@@ -97,8 +94,7 @@ class LateralField:
     v_per_m: float
 
     def __post_init__(self):
-        if self.v_per_m < 0.0 or not math.isfinite(self.v_per_m):
-            raise ValueError(f"field must be nonnegative and finite, got {self.v_per_m!r}")
+        _check_range(self.v_per_m, "field", 0.0)
 
 
 def oscillator_length(model: QuantumDotModel) -> float:

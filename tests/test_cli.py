@@ -100,7 +100,7 @@ def test_omega2_sweep_nonpositive_min_exits_2(tmp_path, capsys):
     ("drives:\n  - {}\n  - {omega_rad_per_s: 3.0e+15}\n", "drives[1].omega_rad_per_s"),
     ("dot:\n  wavelength_nm: 2400.0\n", "drives[1].omega_rad_per_s"),
     ("modes: 3\n", "modes must list"),
-    ("dot:\n  wavelength_nm: 1.0e-320\n", "dot: wavelength must be positive"),
+    ("dot:\n  wavelength_nm: 1.0e-320\n", "dot: wavelength must be > 0.0, got 0.0"),
     ("sweep:\n  max: 1.0e+308\n", "sweep.max must be finite in V/m"),
     ("sweep:\n  points: 1" + "0" * 400 + "\n",
      "sweep.points must be finite, got an integer beyond the float range"),
@@ -196,9 +196,15 @@ def test_enhancement_output(capsys):
 
 
 def test_enhancement_rejects_bad_values(capsys):
-    assert main(["enhancement", "--q1", "-5", "--q2", "5000",
-                 "--v1-cubic-wavelengths", "1", "--v2-cubic-wavelengths", "1"]) == 2
-    assert "--q1" in capsys.readouterr().err
+    # the config rules of modes[i] check the flags, which the message names
+    for flag, value, message in (
+            ("--q1", "-5", "--q1 must be > 0.0, got -5.0"),
+            ("--q2", "nan", "--q2 must be finite, got nan"),
+            ("--v2-cubic-wavelengths", "0", "--v2-cubic-wavelengths must be > 0.0, got 0.0")):
+        flags = {"--q1": "5000", "--q2": "5000",
+                 "--v1-cubic-wavelengths": "1", "--v2-cubic-wavelengths": "1", flag: value}
+        assert main(["enhancement", *(item for pair in flags.items() for item in pair)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_enhancement_overflowing_quality_exits_2(capsys):
@@ -240,7 +246,7 @@ def test_enhancement_volume_that_underflows_names_its_flag(capsys, i):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (f"error: --v{i}-cubic-wavelengths: mode volume must be "
-                   f"positive, got 0.0\n")
+                   f"> 0.0, got 0.0\n")
 
 
 def test_json_config_file_sweeps(tmp_path, capsys):

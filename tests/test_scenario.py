@@ -91,12 +91,19 @@ def test_single_override_leaves_rest_unchanged():
     assert cfg.config_hash != base.config_hash
 
 
-def test_load_config_file_and_inline(tmp_path):
+def test_load_config_file_and_inline(tmp_path, monkeypatch):
+    # a str that holds a newline is YAML text; one without is a file path
+    text = "preset: paper-fig3\nsweep: {points: 5}"
     path = tmp_path / "cfg.yaml"
-    path.write_text("preset: paper-fig3\n")
+    path.write_text(text)
     from_file = load_config(path)
-    from_text = load_config("preset: paper-fig3")
+    from_text = load_config(text)
     assert from_file.config_hash == from_text.config_hash
+    assert from_text.grid == from_file.grid and len(from_text.grid) == 5
+    assert load_config(str(path)).config_hash == from_file.config_hash
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigError, match=r"^config file not found: cfg\.txt$"):
+        load_config("cfg.txt")
 
 
 def test_load_config_missing_file_and_bad_yaml(tmp_path):
@@ -221,13 +228,13 @@ REJECTIONS = [
     (("drives", 2, "omega_rad_per_s"), 3.0e15, "drives[2].omega_rad_per_s"),
     (("dot", "wavelength_nm"), 2400.0, "drives[1].omega_rad_per_s"),
     # in range, but under- or overflows on its way to SI units
-    (("dot", "wavelength_nm"), 1.0e-320, "dot: wavelength must be positive"),
+    (("dot", "wavelength_nm"), 1.0e-320, "dot: wavelength must be > 0.0, got 0.0"),
     (("modes", 0, "volume_cubic_wavelengths"), 1.0e-320,
-     "modes[0]: mode volume must be positive"),
+     "modes[0]: mode volume must be > 0.0, got 0.0"),
     (("dot", "electron_confinement_mev"), 1.0e308,
-     "dot: angular frequency must be positive and finite, got inf"),
+     "dot: angular frequency must be finite, got inf"),
     # (wavelength/n)^3 underflows, so the first mode's volume is 0 m^3
-    (("dot", "refractive_index"), 1.0e308, "modes[0]: mode volume must be positive"),
+    (("dot", "refractive_index"), 1.0e308, "modes[0]: mode volume must be > 0.0"),
     # ... or overflows
     (("modes", 0, "wavelength_nm"), 1.0e308, "modes[0]: OverflowError: "),
     (("sweep",), {"variable": "omega2", "min": 1.0e15, "max": 1.1e15, "points": 3,

@@ -1,13 +1,17 @@
 """The repository tools: tools/outputs.py writes the canonical outputs and
 diffs two sets of them, tools/loc.py counts the config keys and CLI flags
 the package defines, the benchmark's tracer finds a span for every
-layer it times on the figure sweeps, and the benchmark's README config
-still fails with the error it documents."""
+layer it times on the figure sweeps and its traced run of the sweep
+workload yields every per-layer metric, and the benchmark's README config
+still fails with the error it documents. The benchmark tests read bench/
+and change nothing in it."""
 
 import argparse
 import csv
 import importlib.util
 import io
+import json
+import math
 import shutil
 import sys
 from pathlib import Path
@@ -91,6 +95,28 @@ def test_figure_sweeps_reach_every_traced_rates_cavity_and_presets_name(monkeypa
     expected = [f"{module}.{name}" for module in ("rates", "cavity", "presets")
                 for name in tracing.TRACED[module] if not name.startswith("tpse_total")]
     assert [name for name in expected if not tracer.durations[name]] == []
+
+
+def test_traced_sweep_run_gives_every_per_layer_metric(monkeypatch):
+    # bench/run.py --trace 1 exits 1 on a per-layer metric it cannot compute:
+    # a ZeroDivisionError when tpse_total stops calling tpse_total_fixed, an
+    # empty median when a traced layer is never reached. Run its own traced()
+    # over one 6-op cycle of the sweep workload, then the probe.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCH))
+    run = importlib.import_module("run")
+    workloads = importlib.import_module("workloads")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    seed = 1
+    workload = workloads.SweepWorkload(seed)
+    try:
+        metrics, detail = run.traced(workload, 1e-9, seed, spec)
+    finally:
+        workload.close()
+    assert (detail["attempted"], detail["failed"]) == (2 * workload.cycle, 0)
+    assert list(metrics) == [entry["name"] for entry in spec]
+    assert [name for name, entry in metrics.items()
+            if not math.isfinite(entry["value"])] == []
 
 
 def test_benchmark_readme_config_fails_with_its_documented_error(monkeypatch):
