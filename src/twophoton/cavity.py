@@ -70,7 +70,12 @@ def _mismatch_raw(omega, mode: CavityMode):
     """Array-friendly core of lorentzian_mismatch; omega is raw rad/s, a
     scalar or a numpy array."""
     x = omega / mode.omega_c.rad_per_s
-    return x / (1.0 + 4.0 * mode.quality**2 * (x - 1.0) ** 2)
+    # 4 ((x - 1) Q)^2: Q^2 and 2 Q overflow for a Q the product keeps finite
+    # (0 * inf is nan on resonance); in place where an array would make a copy
+    t = (x - 1.0) * mode.quality
+    t *= t
+    x /= 1.0 + 4.0 * t
+    return x
 
 
 def lorentzian_mismatch(omega: AngularFrequency, mode: CavityMode) -> float:

@@ -83,14 +83,9 @@ def _cmd_enhancement(args) -> int:
     host = ex.dot.host
     values = {}
     for i, mode, drive in ((1, ex.mode1, ex.drive1), (2, ex.mode2, ex.drive2)):
-        try:
-            values[f"F{i}"] = purcell_factor(
-                angular_frequency_to_wavelength(mode.omega_c), host, mode)
-            values[f"G{i}"] = _tpa_enhancement(drive, mode, host)
-        except OverflowError as exc:
-            # the only power taken is Q^2, in the cavity Lorentzian
-            raise ConfigError(f"--q{i} overflows the cavity Lorentzian, which "
-                              f"squares it, got {mode.quality!r}") from exc
+        values[f"F{i}"] = purcell_factor(
+            angular_frequency_to_wavelength(mode.omega_c), host, mode)
+        values[f"G{i}"] = _tpa_enhancement(drive, mode, host)
     values["F1F2"] = values["F1"] * values["F2"]
     values["G1G2"] = values["G1"] * values["G2"]
     names = ("F1", "F2", "F1F2", "G1", "G2", "G1G2")

@@ -26,6 +26,12 @@ factor at w_d: f(w_d) in bulk, g(w_d) with a mode at the dot line.
 Stimulated-plus-spontaneous emission into a driven mode-2 cavity
 multiplies the double-mode density by eta2 P2 pi / (4 hbar w2).
 
+A field sweep is one reference evaluate_point plus the field law: every
+rate is a field-dependent dipole factor times field-free factors, so each
+row rescales the reference by the dipole product p(E) (omega_eff; p^2 for
+TPSTE and the density) and by d_ss(E)^2 (OPSE). An omega2 sweep row is the
+emitted power density at w2, cavity and bulk, at one held field.
+
 Everything is a pure function of immutable inputs; evaluation points are
 independent and can run in parallel.
 """
@@ -61,6 +67,8 @@ from .stark import (
     _detuning_sum,
     dipole_product_sp,
     dipole_ss,
+    oscillator_length,
+    stark_displacement,
 )
 
 __all__ = [
@@ -511,3 +519,50 @@ def evaluate_point(field_v_per_m: float, experiment: Experiment) -> RateReport:
         enhancement_tpse=f1 * f2,
         enhancement_tpa=g1 * g2,
     )
+
+
+# --- sweep rows ------------------------------------------------------------
+
+
+def _field_row(ex: Experiment):
+    """Row function of a field sweep, field in V/m: one evaluate_point at
+    the field where the dipole product p peaks (dx = sqrt(2) l_e), rescaled
+    per row by the field law. omega_eff goes as p, TPSTE and the density as
+    p^2, OPSE as d_ss^2; F1F2 and G1G2 do not depend on the field. |p| <=
+    p_ref on every row, so a rescale cannot overflow."""
+    peak = LateralField(math.sqrt(2.0) * oscillator_length(ex.dot)
+                        / stark_displacement(LateralField(1.0), ex.dot))
+    ref = evaluate_point(peak.v_per_m, ex)
+    p_ref, d_ref = dipole_product_sp(peak, ex.dot), dipole_ss(peak, ex.dot).coulomb_meters
+
+    def row(field_v_per_m: float) -> RateReport:
+        field = LateralField(field_v_per_m)
+        # a dipole that underflows at its peak is zero on every row
+        r = dipole_product_sp(field, ex.dot) / p_ref if p_ref else 0.0
+        q = dipole_ss(field, ex.dot).coulomb_meters / d_ref if d_ref else 0.0
+        return RateReport(field.v_per_m, ref.omega_eff_over_2pi * r,
+                          ref.gamma_opse_over_2pi * q * q, ref.gamma_tpste_over_2pi * r * r,
+                          ref.tpse_spectral_density * r * r, ref.enhancement_tpse,
+                          ref.enhancement_tpa)
+    return row
+
+
+def _omega2_row(ex: Experiment, held_v_per_m: float):
+    """Row function of an omega2 sweep, w2 in rad/s: emitted power
+    densities at w2, cavity and bulk, W s/rad, at the held field. Both go
+    as p(E)^2, which a normalization to the bulk peak cancels only while p
+    does not underflow: such held fields give the same relative spectrum,
+    and a zero field all-zero rows. Near p's underflow (1e-146 V/um on the
+    preset) the densities lose digits, and past it they are zero."""
+    field = LateralField(held_v_per_m)
+
+    def row(w2: float) -> tuple[float, float]:
+        omega2 = AngularFrequency(w2)
+        cavity = HBAR * w2 * tpse_spectral_density_cavity(omega2, ex.dot, field,
+                                                          ex.mode1, ex.mode2)
+        bulk = HBAR * w2 * tpse_spectral_density_bulk(omega2, ex.dot, field)
+        if not (math.isfinite(cavity) and math.isfinite(bulk)):
+            raise ValueError(f"emitted power density is not finite "
+                             f"(cavity {cavity!r}, bulk {bulk!r})")
+        return cavity, bulk
+    return row

@@ -7,14 +7,12 @@ against _SCHEMA, the key table the checks below follow in its order.
 `preset: paper-fig3` fills every key, after which any subset can be
 overridden, list entries merging element-wise by position.
 
-A field sweep is one reference evaluate_point plus the field law: every
-rate is a field-dependent dipole factor times field-free factors, so each
-row rescales the reference by the dipole product p(E) (omega_eff; p^2 for
-TPSTE and the density) and by d_ss(E)^2 (OPSE). omega2 sweeps emit
-relative emitted-power spectra (cavity and bulk, normalized to the bulk
-peak inside the window). Grid points are mutually independent, so they
-may be evaluated concurrently; rows always come out in grid order. Output
-is deterministic and carries no timestamp.
+Sweep rows come from the row functions of rates, which take SI inputs: a
+field sweep's from the field law, an omega2 sweep's as emitted power
+densities that run_sweep normalizes to the bulk peak inside the window.
+Grid points are mutually independent, so they may be evaluated
+concurrently; rows always come out in grid order. Output is deterministic
+and carries no timestamp.
 """
 
 from __future__ import annotations
@@ -30,16 +28,8 @@ import numpy as np
 import yaml
 
 from .presets import PRESET, _reason, build_experiment, preset_config
-from .quantities import CONSTANTS_VERSION, HBAR, AngularFrequency, _check_range
-from .rates import (
-    Experiment,
-    RateReport,
-    evaluate_point,
-    tpse_spectral_density_bulk,
-    tpse_spectral_density_cavity,
-)
-from .stark import (LateralField, dipole_product_sp, dipole_ss, oscillator_length,
-                    stark_displacement)
+from .quantities import CONSTANTS_VERSION, _check_range
+from .rates import Experiment, RateReport, _field_row, _omega2_row
 
 __all__ = [
     "ConfigError",
@@ -361,10 +351,10 @@ def load_config(source: str | Path,
     text, parse, syntax = source, yaml.safe_load, "YAML"
     if isinstance(source, Path) or "\n" not in source:
         try:
-            text = Path(source).read_text()
+            text = Path(source).read_text(encoding="utf-8")
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {source}") from exc
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {source}: {exc}") from exc
         if str(source).endswith(".json"):
             parse, syntax = json.loads, "JSON"
@@ -380,64 +370,21 @@ def load_config(source: str | Path,
 # --- execution --------------------------------------------------------------
 
 
-def _field_law(config: ScenarioConfig):
-    """Row function of a field sweep: one evaluate_point at the field where
-    the dipole product p peaks (dx = sqrt(2) l_e), rescaled per row by the
-    field law. omega_eff goes as p, TPSTE and the density as p^2, OPSE as
-    d_ss^2; F1F2 and G1G2 do not depend on the field. |p| <= p_ref on every
-    row, so a rescale cannot overflow."""
-    ex = config.experiment
-    peak = LateralField(math.sqrt(2.0) * oscillator_length(ex.dot)
-                        / stark_displacement(LateralField(1.0), ex.dot))
-    ref = evaluate_point(peak.v_per_m, ex)
-    p_ref, d_ref = dipole_product_sp(peak, ex.dot), dipole_ss(peak, ex.dot).coulomb_meters
-
-    def row(e_v_per_um: float) -> RateReport:
-        field = LateralField(e_v_per_um * 1e6)
-        # a dipole that underflows at its peak is zero on every row
-        r = dipole_product_sp(field, ex.dot) / p_ref if p_ref else 0.0
-        q = dipole_ss(field, ex.dot).coulomb_meters / d_ref if d_ref else 0.0
-        return RateReport(field.v_per_m, ref.omega_eff_over_2pi * r,
-                          ref.gamma_opse_over_2pi * q * q, ref.gamma_tpste_over_2pi * r * r,
-                          ref.tpse_spectral_density * r * r, ref.enhancement_tpse,
-                          ref.enhancement_tpa)
-    return row
-
-
-def _omega2_densities(config: ScenarioConfig):
-    """Row function of an omega2 sweep: emitted power densities at w2,
-    cavity and bulk, W s/rad, at the held field. Both go as p(E)^2, which
-    the bulk-peak normalization in run_sweep cancels: every nonzero held
-    field gives the same relative spectrum, and a zero field all-zero rows."""
-    ex = config.experiment
-    field = LateralField(config.sweep_field_v_per_um * 1e6)
-
-    def row(w2: float) -> tuple[float, float]:
-        omega2 = AngularFrequency(w2)
-        cavity = HBAR * w2 * tpse_spectral_density_cavity(omega2, ex.dot, field,
-                                                          ex.mode1, ex.mode2)
-        bulk = HBAR * w2 * tpse_spectral_density_bulk(omega2, ex.dot, field)
-        if not (math.isfinite(cavity) and math.isfinite(bulk)):
-            raise ValueError(f"emitted power density is not finite "
-                             f"(cavity {cavity!r}, bulk {bulk!r})")
-        return cavity, bulk
-    return row
-
-
 def run_sweep(config: ScenarioConfig) -> SweepResult:
     """Evaluate the configured sweep. Deterministic for a fixed config;
     singular grid points surface as SweepError naming the point. A failure
     of what every row shares (a field sweep's reference row, the held
     field) names grid point 0."""
-    variable = config.sweep_variable
+    variable, ex = config.sweep_variable, config.experiment
+    header, _, to_si = _COLUMNS[variable][1][0]
     rows, i, x = [], 0, config.grid[0]
     try:
-        point = (_field_law if variable == "field" else _omega2_densities)(config)
+        point = _field_row(ex) if variable == "field" else \
+            _omega2_row(ex, config.sweep_field_v_per_um * 1e6)
         for i, x in enumerate(config.grid):
-            rows.append(point(x))
+            rows.append(point(x * to_si))
     except (ValueError, ArithmeticError) as exc:
-        # the first column is the swept one
-        raise SweepError(i, _COLUMNS[variable][1][0][0], x, _reason(exc)) from exc
+        raise SweepError(i, header, x, _reason(exc)) from exc
     if variable == "omega2":
         # in units of the bulk peak; an all-zero spectrum (zero field) stays zero
         peak = max(bulk for _, bulk in rows) or 1.0
@@ -475,7 +422,8 @@ def reproduce_fig3b() -> SweepResult:
 
 # sweep variable -> (row type, columns); a column is (CSV header, row field,
 # divisor from the field's SI unit to the CSV unit). The first column is the
-# swept one, which SweepError names. JSON rows carry the fields in SI units.
+# swept one, which SweepError names; its divisor also takes a grid value,
+# in the config unit, to SI. JSON rows carry the fields in SI units.
 _COLUMNS = {
     "field": (RateReport, (
         ("field_V_per_um", "field_strength", 1e6),

@@ -78,6 +78,18 @@ def test_sweep_config_is_always_a_path(tmp_path, monkeypatch, capsys, name):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("name", ["f.yaml", "f.json"])
+def test_sweep_config_that_is_not_utf8_exits_2(tmp_path, capsys, name):
+    # a UTF-16 byte-order mark is no UTF-8; the read error names the file
+    cfg = tmp_path / name
+    cfg.write_bytes(b"\xff\xfepreset: paper-fig3\n")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        f"error: cannot read config {cfg}: 'utf-8' codec can't decode byte 0xff ")
+    assert captured.out == ""
+
+
 def test_sweep_invalid_config_names_field(tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(
@@ -139,27 +151,25 @@ def test_sweep_runtime_error_exits_1(tmp_path, capsys):
     assert "grid point 0" in err
 
 
-@pytest.mark.parametrize("path,value", [
-    (("modes", 0, "quality"), 1.0e308),       # 4 Q^2 overflows
-    (("drives", 0), {"omega_rad_per_s": 1.0e-300, "power_uw": 12.0,
-                     "spot_area_um2": 1.0}),  # 1/w^2 divides by zero
+@pytest.mark.parametrize("omega,error", [
+    (1.0e160, "OverflowError"),         # the photon number's w^2 overflows
+    (1.0e-300, "ZeroDivisionError"),    # its 1/w^2 divides by zero
 ], ids=["overflow", "zero-division"])
-def test_sweep_arithmetic_error_exits_1(tmp_path, capsys, path, value):
+def test_sweep_arithmetic_error_exits_1(tmp_path, capsys, omega, error):
     import yaml
 
     from twophoton import preset_config
 
     base = preset_config("paper-fig3")
-    target = base
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
+    base["drives"][0] = {"omega_rad_per_s": omega, "power_uw": 12.0, "spot_area_um2": 1.0}
     base["sweep"]["points"] = 2
     base["preset"] = None  # complete config, keep the CLI default from merging
     cfg = tmp_path / "extreme.yaml"
     cfg.write_text(yaml.safe_dump(base))
     assert main(["sweep", "--config", str(cfg)]) == 1
-    assert capsys.readouterr().err.startswith("error: grid point 0 ")
+    # the cause's type, not the non-finite report of a row
+    assert capsys.readouterr().err.startswith(
+        f"error: grid point 0 (field_V_per_um = 0): {error}: ")
 
 
 def test_fig3a_deterministic_bytes(tmp_path):
@@ -208,10 +218,19 @@ def test_enhancement_rejects_bad_values(capsys):
 
 
 def test_enhancement_overflowing_quality_exits_2(capsys):
-    # in range, but the cavity Lorentzian squares it past the float range
+    # F1 itself is finite (the Lorentzian never squares Q); F1 F2 is not
     assert main(["enhancement", "--q1", "1e308", "--q2", "5000",
                  "--v1-cubic-wavelengths", "1", "--v2-cubic-wavelengths", "1"]) == 2
-    assert capsys.readouterr().err.startswith("error: --q1 overflows")
+    assert capsys.readouterr() == (
+        "", "error: F1F2 = inf is not finite; it is set by --q1, "
+            "--v1-cubic-wavelengths, --q2 and --v2-cubic-wavelengths\n")
+
+
+def test_enhancement_of_a_quality_whose_square_overflows(capsys):
+    # Q^2 = 1e400 is past the float range; F1, linear in Q, is not
+    assert main(["enhancement", "--q1", "1e200", "--q2", "5000",
+                 "--v1-cubic-wavelengths", "1", "--v2-cubic-wavelengths", "1"]) == 0
+    assert "F1 = 7.599089e+198\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("q1,q2,v1,v2,message", [

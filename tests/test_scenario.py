@@ -494,13 +494,15 @@ def test_sweep_error_names_grid_point():
 
 
 def _arithmetic_failures():
-    # in range, but the rates overflow (4 Q^2) or divide by zero (1/w^2)
-    high_q = preset_config("paper-fig3")
-    high_q["modes"][0]["quality"] = 1.0e308
+    # in range, but the photon number of drive 1 overflows (w^2) or divides
+    # by zero (1/w^2)
+    fast = preset_config("paper-fig3")
+    del fast["drives"][0]["wavelength_nm"]
+    fast["drives"][0]["omega_rad_per_s"] = 1.0e160
     slow = preset_config("paper-fig3")
     del slow["drives"][0]["wavelength_nm"]
     slow["drives"][0]["omega_rad_per_s"] = 1.0e-300
-    return [high_q, slow]
+    return [fast, slow]
 
 
 @pytest.mark.parametrize("cfg", _arithmetic_failures(), ids=["overflow", "zero-division"])
@@ -535,8 +537,11 @@ def _omega2_sweep(cfg: dict) -> dict:
 
 
 def test_omega2_sweep_arithmetic_error_names_grid_point():
-    cfg = _omega2_sweep(_arithmetic_failures()[0])
-    with pytest.raises(SweepError, match=r"grid point 0 \(omega2_rad_per_s"):
+    # in range, but the bulk leg's w1^3 overflows: w1 is near the dot line
+    cfg = _omega2_sweep(preset_config("paper-fig3"))
+    cfg["dot"]["wavelength_nm"] = 1.0e-90
+    with pytest.raises(SweepError, match=r"grid point 0 \(omega2_rad_per_s = .*\): "
+                                         r"OverflowError: "):
         run_sweep(config_from_dict(cfg))
 
 
@@ -618,11 +623,15 @@ def test_omega2_spectrum_does_not_depend_on_held_field():
                         "field_v_per_um": field_v_per_um}
         return run_sweep(config_from_dict(cfg)).rows
 
-    for a, b in zip(spectrum(0.75), spectrum(2.5)):
-        assert a.omega2_rad_per_s == b.omega2_rad_per_s
-        assert math.isclose(a.tpse_power_cavity_rel, b.tpse_power_cavity_rel,
-                            rel_tol=1e-14)
-        assert math.isclose(a.tpse_power_bulk_rel, b.tpse_power_bulk_rel, rel_tol=1e-14)
+    # down to a field whose densities are still normal floats
+    reference = spectrum(0.75)
+    for held in (2.5, 1e-100):
+        for a, b in zip(reference, spectrum(held)):
+            assert a.omega2_rad_per_s == b.omega2_rad_per_s
+            assert math.isclose(a.tpse_power_cavity_rel, b.tpse_power_cavity_rel,
+                                rel_tol=1e-14)
+            assert math.isclose(a.tpse_power_bulk_rel, b.tpse_power_bulk_rel,
+                                rel_tol=1e-14)
     assert all(row.tpse_power_cavity_rel == row.tpse_power_bulk_rel == 0.0
                for row in spectrum(0.0))
 

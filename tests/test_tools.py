@@ -60,6 +60,20 @@ def test_outputs_write_and_diff(tmp_path, capsys):
     assert "field-mode-d.json: identical" in out
 
 
+def test_outputs_diff_reports_name_value_files_per_name(tmp_path, capsys):
+    outputs = _tool("outputs")
+    bulk, double = 1387.9636541734548, 22307.916374048613
+    for side, value in (("a", bulk), ("b", math.nextafter(bulk, math.inf))):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "tpse-total.txt").write_text(
+            f"bulk = {value:.16e}\ndouble = {double:.16e}\n")
+    assert outputs.main(["diff", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "tpse-total.txt: differs",
+        "  bulk: 1 of 1 rows changed, max rel 1.64e-16",
+        "  double: 0 of 1 rows changed, max rel 0.00e+00"]
+
+
 def test_loc_counts_config_keys_and_cli_flags(capsys):
     from twophoton.cli import _build_parser
     from twophoton.scenario import _KEYS

@@ -13,9 +13,9 @@ package found on sys.path (set PYTHONPATH to pick a checkout's src/) and
 prints the package path it used to stderr.
 
 `diff` prints `identical` for each file whose bytes match. For each file
-that differs it prints, per CSV column (per row key for JSON), how many
-rows changed and the largest relative change; for other files, a
-unified diff of their lines. Exits 1 if any file differs or exists on
+that differs it prints, per CSV column (per row key for JSON, per name
+for the `name = value` lines of a .txt file), how many rows changed and
+the largest relative change. Exits 1 if any file differs or exists on
 one side only. Standard library only.
 """
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import difflib
 import io
 import json
 import sys
@@ -90,10 +89,13 @@ def write(directory: Path) -> int:
 
 
 def _table(path: Path) -> dict[str, list[float]]:
-    """Numeric columns of a sweep output, by CSV header or JSON row key."""
+    """Numeric columns of an output, by CSV header or JSON row key; the
+    `name = value` lines of a .txt file are one row, a column per name."""
     text = path.read_text()
     if path.suffix == ".json":
         rows = json.loads(text)["rows"]
+    elif path.suffix == ".txt":
+        rows = [dict(line.split(" = ", 1) for line in text.splitlines())]
     else:
         rows = list(csv.DictReader(io.StringIO(text)))
     return {key: [float(row[key]) for row in rows] for key in (rows[0] if rows else ())}
@@ -105,9 +107,6 @@ def _relative(a: float, b: float) -> float:
 
 
 def _report(a: Path, b: Path) -> list[str]:
-    if a.suffix not in (".csv", ".json"):
-        return list(difflib.unified_diff(a.read_text().splitlines(),
-                                         b.read_text().splitlines(), lineterm=""))
     old, new = _table(a), _table(b)
     if list(old) != list(new):
         return [f"  columns differ: {list(old)} vs {list(new)}"]
