@@ -26,11 +26,14 @@ factor at w_d: f(w_d) in bulk, g(w_d) with a mode at the dot line.
 Stimulated-plus-spontaneous emission into a driven mode-2 cavity
 multiplies the double-mode density by eta2 P2 pi / (4 hbar w2).
 
-A field sweep is one reference evaluate_point plus the field law: every
-rate is a field-dependent dipole factor times field-free factors, so each
-row rescales the reference by the dipole product p(E) (omega_eff; p^2 for
-TPSTE and the density) and by d_ss(E)^2 (OPSE). An omega2 sweep row is the
-emitted power density at w2, cavity and bulk, at one held field.
+Both sweep kinds are evaluated at the field where the dipole product p
+peaks (stark._peak_field). A field sweep is one reference evaluate_point
+there plus the field law: every rate is a field-dependent dipole factor
+times field-free factors, so each row rescales the reference by p(E)
+(omega_eff; p^2 for TPSTE and the density) and by d_ss(E)^2 (OPSE). An
+omega2 sweep row is the emitted power density at w2, cavity and bulk,
+there too: both go as p^2, which the normalization to the bulk peak
+cancels, so a held field only tells zero (all-zero rows) from nonzero.
 
 Everything is a pure function of immutable inputs; evaluation points are
 independent and can run in parallel.
@@ -65,10 +68,9 @@ from .stark import (
     LateralField,
     QuantumDotModel,
     _detuning_sum,
+    _peak_field,
     dipole_product_sp,
     dipole_ss,
-    oscillator_length,
-    stark_displacement,
 )
 
 __all__ = [
@@ -167,9 +169,7 @@ class RateReport:
 
     def __post_init__(self):
         for name, value in self.__dict__.items():
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"report field {name} must be finite and "
-                                 f"nonnegative, got {value!r}")
+            _check_range(value, f"report field {name}", 0.0)
 
 
 @dataclass(frozen=True)
@@ -274,8 +274,10 @@ def _leg_factor(omega, mode: CavityMode | None, n: float):
     # cavity's 2 Q psi^2 phi(w) / (pi hbar n^2 eps0 V)
     if mode is None:
         return n * omega**3 / (3.0 * math.pi**2 * HBAR * EPS0 * C**3)
-    return 2.0 * mode.quality * mode.psi**2 * _mismatch_raw(omega, mode) / (
-        math.pi * HBAR * n**2 * EPS0 * mode.volume)
+    # never 2 Q, which overflows for Q near the float maximum (and inf times
+    # a zero Lorentzian is nan); halving the denominator instead is exact
+    return mode.quality * mode.psi**2 * _mismatch_raw(omega, mode) / (
+        math.pi * HBAR * n**2 * EPS0 * mode.volume / 2.0)
 
 
 # emission environment -> how many photons go into a cavity mode: the w1
@@ -530,8 +532,7 @@ def _field_row(ex: Experiment):
     per row by the field law. omega_eff goes as p, TPSTE and the density as
     p^2, OPSE as d_ss^2; F1F2 and G1G2 do not depend on the field. |p| <=
     p_ref on every row, so a rescale cannot overflow."""
-    peak = LateralField(math.sqrt(2.0) * oscillator_length(ex.dot)
-                        / stark_displacement(LateralField(1.0), ex.dot))
+    peak = _peak_field(ex.dot)
     ref = evaluate_point(peak.v_per_m, ex)
     p_ref, d_ref = dipole_product_sp(peak, ex.dot), dipole_ss(peak, ex.dot).coulomb_meters
 
@@ -549,12 +550,12 @@ def _field_row(ex: Experiment):
 
 def _omega2_row(ex: Experiment, held_v_per_m: float):
     """Row function of an omega2 sweep, w2 in rad/s: emitted power
-    densities at w2, cavity and bulk, W s/rad, at the held field. Both go
-    as p(E)^2, which a normalization to the bulk peak cancels only while p
-    does not underflow: such held fields give the same relative spectrum,
-    and a zero field all-zero rows. Near p's underflow (1e-146 V/um on the
-    preset) the densities lose digits, and past it they are zero."""
-    field = LateralField(held_v_per_m)
+    densities at w2, cavity and bulk, W s/rad, at the dipole peak for any
+    held field above 0, and zero at a zero held field. Both go as p(E)^2,
+    which a normalization to the bulk peak cancels, so every nonzero held
+    field gives the same relative spectrum; at the peak p is largest, so it
+    does not underflow where the held field's would."""
+    field = _peak_field(ex.dot) if held_v_per_m else LateralField(0.0)
 
     def row(w2: float) -> tuple[float, float]:
         omega2 = AngularFrequency(w2)

@@ -113,6 +113,12 @@ def stark_displacement(field: LateralField, model: QuantumDotModel) -> float:
     return _displacement_slope(model) * field.v_per_m
 
 
+def _peak_field(model: QuantumDotModel) -> LateralField:
+    # where the dipole product dx exp(-dx^2/(4 l_e^2)) peaks: dx = sqrt(2) l_e
+    return LateralField(math.sqrt(2.0) * oscillator_length(model)
+                        / _displacement_slope(model))
+
+
 def _overlap(field: LateralField, model: QuantumDotModel) -> float:
     dx = stark_displacement(field, model)
     l_e = oscillator_length(model)

@@ -237,9 +237,6 @@ REJECTIONS = [
     (("dot", "refractive_index"), 1.0e308, "modes[0]: mode volume must be > 0.0"),
     # ... or overflows
     (("modes", 0, "wavelength_nm"), 1.0e308, "modes[0]: OverflowError: "),
-    (("sweep",), {"variable": "omega2", "min": 1.0e15, "max": 1.1e15, "points": 3,
-                  "field_v_per_um": 1.0e308},
-     "sweep.field_v_per_um must be finite in V/m"),
     # a field sweep's grid is converted to V/m point by point
     (("sweep", "max"), 1.0e308, "sweep.max must be finite in V/m"),
 ]
@@ -613,32 +610,41 @@ def test_omega2_sweep_rows():
     assert omegas == sorted(omegas)
 
 
-def test_omega2_spectrum_does_not_depend_on_held_field():
-    # both densities go as p(E)^2, which the bulk-peak normalization cancels
-    def spectrum(field_v_per_um):
-        cfg = preset_config("paper-fig3")
-        center = cfg["modes"][1]["omega_rad_per_s"]
-        cfg["sweep"] = {"variable": "omega2", "min": center - 7e11,
-                        "max": center + 7e11, "points": 41,
-                        "field_v_per_um": field_v_per_um}
-        return run_sweep(config_from_dict(cfg)).rows
+def _omega2_log(cfg: dict, **sweep) -> tuple:
+    """Rows of cfg as a log omega2 sweep over +-4 mode-2 linewidths of the
+    preset, with extra sweep keys."""
+    cfg["sweep"] = {"variable": "omega2", "min": 8.18266e14, "max": 8.19577e14,
+                    "points": 81, "log": True, **sweep}
+    return run_sweep(config_from_dict(cfg)).rows
 
-    # down to a field whose densities are still normal floats
+
+def test_omega2_spectrum_does_not_depend_on_held_field():
+    # both densities go as p(E)^2, which the bulk-peak normalization cancels,
+    # so every nonzero held field is evaluated at the dipole peak. At 1e-148
+    # and 10 V/um the held field's own p would make the bulk curve 0 and
+    # leave the cavity column unnormalized (1.3e-320 W s/rad at 1e-148).
+    def spectrum(held):
+        return _omega2_log(preset_config("paper-fig3"), field_v_per_um=held)
+
     reference = spectrum(0.75)
-    for held in (2.5, 1e-100):
-        for a, b in zip(reference, spectrum(held)):
-            assert a.omega2_rad_per_s == b.omega2_rad_per_s
-            assert math.isclose(a.tpse_power_cavity_rel, b.tpse_power_cavity_rel,
-                                rel_tol=1e-14)
-            assert math.isclose(a.tpse_power_bulk_rel, b.tpse_power_bulk_rel,
-                                rel_tol=1e-14)
+    for held in (1e-300, 1e-148, 1e-100, 2.5, 10.0, 1e308):
+        assert spectrum(held) == reference, held
     assert all(row.tpse_power_cavity_rel == row.tpse_power_bulk_rel == 0.0
                for row in spectrum(0.0))
 
 
+def test_omega2_sweep_with_quality_near_the_float_maximum():
+    # 2 Q overflows at Q = 1e308, and inf times a zero Lorentzian is nan
+    cfg = preset_config("paper-fig3")
+    cfg["modes"][0]["quality"] = 1e308
+    rows = _omega2_log(cfg)
+    assert len(rows) == 81
+    assert max(row.tpse_power_bulk_rel for row in rows) == 1.0
+
+
 # Numeric keys whose small change moves no column of any sweep below. Only
-# the held field: the omega2 spectrum's bulk-peak normalization cancels its
-# p(E)^2, so it moves the rows by rounding (3e-16). ROADMAP item 5 deletes it.
+# the held field: an omega2 sweep is evaluated at the dipole peak for every
+# nonzero held field. ROADMAP item 6 deletes it.
 _NO_OUTPUT = {("sweep", "field_v_per_um")}
 
 

@@ -22,6 +22,7 @@ from twophoton.stark import (
     LateralField,
     SingularDetuningError,
     _detuning_sum,
+    _peak_field,
     dipole_product_sp,
     dipole_product_sp_field_derivative,
     dipole_ss,
@@ -83,6 +84,22 @@ def test_dipole_product_odd_and_peaked(dot):
     assert peak == pytest.approx(1.0037586376187736e-55, rel=1e-12)
     for off in (0.9, 1.1):
         assert dipole_product_sp(LateralField(off * field_star), dot) < peak
+
+
+def test_peak_field_zeroes_the_dipole_product_derivative(dot):
+    # the preset, then dots with masses, confinement quanta and r_cv drawn
+    # around it
+    rng = np.random.default_rng(7)
+    dots = [dot] + [dataclasses.replace(
+        dot, m_e_star=dot.m_e_star * 10.0 ** rng.uniform(-1.0, 1.0),
+        m_h_star=dot.m_h_star * 10.0 ** rng.uniform(-1.0, 1.0),
+        omega_e=AngularFrequency(dot.omega_e.rad_per_s * 10.0 ** rng.uniform(-1.0, 1.0)),
+        omega_h=AngularFrequency(dot.omega_h.rad_per_s * 10.0 ** rng.uniform(-1.0, 1.0)),
+        r_cv=dot.r_cv * 10.0 ** rng.uniform(-1.0, 1.0)) for _ in range(5)]
+    for model in dots:
+        zero = dipole_product_sp_field_derivative(LateralField(0.0), model)
+        at_peak = dipole_product_sp_field_derivative(_peak_field(model), model)
+        assert abs(at_peak) <= 1e-12 * zero
 
 
 @pytest.mark.parametrize("e_um", [0.25, 0.5, 1.0])
