@@ -370,7 +370,7 @@ def run_sweep(config: ScenarioConfig) -> SweepResult:
     """Evaluate the configured sweep. Deterministic for a fixed config;
     singular grid points surface as SweepError naming the point. A failure
     of what every row shares (a field sweep's reference row, the held
-    field) names grid point 0."""
+    field, an omega2 sweep's bulk peak) names grid point 0."""
     variable, ex = config.sweep_variable, config.experiment
     header, _, to_si = _COLUMNS[variable][1][0]
     rows, i, x = [], 0, config.grid[0]
@@ -383,7 +383,13 @@ def run_sweep(config: ScenarioConfig) -> SweepResult:
         raise SweepError(i, header, x, _reason(exc)) from exc
     if variable == "omega2":
         # in units of the bulk peak; an all-zero spectrum (zero field) stays zero
-        peak = max(bulk for _, bulk in rows) or 1.0
+        peak = max(bulk for _, bulk in rows)
+        if config.sweep_field_v_per_um and peak < sys.float_info.min:
+            raise SweepError(0, header, config.grid[0], (
+                f"the bulk peak of the window, {peak!r} W s/rad, is below the "
+                f"smallest normal float, so rows relative to it would lose their "
+                f"digits: dot.r_cv_nm is too small for this window"))
+        peak = peak or 1.0
         rows = [SpectralRow(w2, cavity / peak, bulk / peak)
                 for w2, (cavity, bulk) in zip(config.grid, rows)]
     return SweepResult(rows=tuple(rows), sweep_variable=variable,

@@ -184,8 +184,8 @@ def _detuning_sum(omega1, omega2, model: QuantumDotModel, direction: str):
             if smallest < DEFAULT_MIN_DETUNING:
                 raise SingularDetuningError(label, ordering, float(smallest))
         total = total + (1.0 / d1 + 1.0 / d2)
-        # free them before the next state's are made: on a quadrature grid
-        # each is as large as the grid
+        # free them before the next state's are made, so that fewer of a
+        # quadrature block's arrays are live, and in cache, at once
         del d1, d2
     return abs(total)
 

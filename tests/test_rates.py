@@ -384,12 +384,33 @@ def test_tpse_total_argument_errors(dot, experiment):
 
 
 @pytest.mark.parametrize("environment", ["bulk", "single", "double"])
-def test_tpse_total_fixed_peak_memory(dot, experiment, environment):
-    # only the interior nodes are evaluated, where the integrand is nonzero:
-    # the peak stays under 7.5 grid-sized float arrays
+def test_tpse_total_fixed_blocks_sum_to_the_whole_grid(dot, experiment, environment):
+    # against the density of every interior node at once and one dot: a
+    # single node, a partial first block, exact multiples of the block and
+    # ragged last blocks
+    block = rates._QUADRATURE_BLOCK
+    kw = {"mode1": experiment.mode1, "mode2": experiment.mode2}
+    legs = rates._legs(environment, **kw)
+    w_d = dot.omega_d.rad_per_s
+    for intervals in (2, 3, block - 1, block, block + 1, 2 * block + 1,
+                      3 * block + 5, 2**17):
+        grid = np.linspace(0.0, w_d, intervals + 1)
+        w2 = grid[1:-1]
+        density = rates._density_raw(w_d - w2, w2, F075, dot, *legs)
+        whole = np.dot(density, grid[2:] - grid[:-2]) / 2.0
+        assert tpse_total_fixed(dot, F075, environment, intervals, **kw) == \
+            pytest.approx(whole, rel=1e-13), intervals
+
+
+@pytest.mark.parametrize("intervals", [2**16, 2**20])
+@pytest.mark.parametrize("environment", ["bulk", "single", "double"])
+def test_tpse_total_fixed_peak_memory(dot, experiment, environment, intervals):
+    # the linspace grid plus one block's temporaries: 8.02 block-sized
+    # arrays measured (numpy elides no temporary this small), bounded at 9,
+    # so 2.003 grid arrays at 2**16 intervals and 1.063 at 2**20, where
+    # whole-grid temporaries would take 7 grid arrays at both
     import tracemalloc
 
-    intervals = 2**16
     kw = {"mode1": experiment.mode1, "mode2": experiment.mode2}
     tpse_total_fixed(dot, F075, environment, 64, **kw)   # warm up imports and caches
     tracemalloc.start()
@@ -398,7 +419,34 @@ def test_tpse_total_fixed_peak_memory(dot, experiment, environment):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (8 * (intervals + 1)) < 7.5
+    assert peak / (8 * (intervals + 1)) < 1.0 + 9 * rates._QUADRATURE_BLOCK / intervals
+
+
+def test_tpse_total_calls_fixed_once_per_doubling_level(dot, experiment, monkeypatch):
+    # the benchmark's tracer counts integrand evaluations by wrapping the
+    # module attribute rates.tpse_total_fixed: one call per doubling level,
+    # at power-of-two counts from _initial_intervals, up to the cap on failure
+    kw = {"mode1": experiment.mode1, "mode2": experiment.mode2}
+    start = rates._initial_intervals(dot, "double", **kw)
+    accepted_n, accepted = _accepted(dot, F075, "double", **kw)
+    calls = []
+    fixed = rates.tpse_total_fixed
+
+    def counted(model, field, environment, intervals, *args, **kwargs):
+        calls.append(intervals)
+        return fixed(model, field, environment, intervals, *args, **kwargs)
+
+    monkeypatch.setattr(rates, "tpse_total_fixed", counted)
+    assert tpse_total(dot, F075, "double", **kw) == accepted
+    assert calls == [start << k for k in range(len(calls))]
+    assert calls[-1] == accepted_n
+
+    calls.clear()
+    cap = 2**12
+    monkeypatch.setattr(rates, "MAX_QUADRATURE_INTERVALS", cap)
+    with pytest.raises(QuadratureError):
+        tpse_total(dot, F075, "double", **kw)
+    assert calls == [cap // 4, cap // 2, cap]
 
 
 # --- driven rates -----------------------------------------------------------

@@ -633,6 +633,31 @@ def test_omega2_spectrum_does_not_depend_on_held_field():
                for row in spectrum(0.0))
 
 
+@pytest.mark.parametrize("r_cv_nm", [1e-145, 1e-148])
+def test_omega2_sweep_with_a_subnormal_bulk_peak_fails(r_cv_nm):
+    # below about 1e-139 nm the raw bulk peak is subnormal: at 1e-145 the
+    # relative cavity peak would keep only some of its digits (144197.216
+    # against 144197.288), and at 1e-148 the bulk column would be all 0
+    # and the cavity one raw W s/rad
+    cfg = preset_config("paper-fig3")
+    cfg["dot"]["r_cv_nm"] = r_cv_nm
+    with pytest.raises(SweepError, match=r"grid point 0 \(omega2_rad_per_s = .*\): "
+                                         r".*dot\.r_cv_nm is too small"):
+        _omega2_log(cfg)
+    # a zero held field still gives all-zero rows
+    assert all(row.tpse_power_cavity_rel == row.tpse_power_bulk_rel == 0.0
+               for row in _omega2_log(cfg, field_v_per_um=0.0))
+
+
+def test_omega2_sweep_with_a_small_dipole_keeps_the_relative_spectrum():
+    cfg = preset_config("paper-fig3")
+    cfg["dot"]["r_cv_nm"] = 1e-100
+    reference = _omega2_log(preset_config("paper-fig3"))
+    for row, ref in zip(_omega2_log(cfg), reference, strict=True):
+        assert dataclasses.astuple(row) == pytest.approx(dataclasses.astuple(ref),
+                                                         rel=1e-12)
+
+
 def test_omega2_sweep_with_quality_near_the_float_maximum():
     # 2 Q overflows at Q = 1e308, and inf times a zero Lorentzian is nan
     cfg = preset_config("paper-fig3")
