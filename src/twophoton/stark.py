@@ -20,8 +20,7 @@ field-free sum over the two photon orderings:
 Absorption uses D = (w_k - w_g) - w_i; emission replaces the term-1
 (term-2) denominator by (w_k - w_g) - w_d + w_2 (resp. + w_1).
 
-Internals accept numpy arrays for the photon frequencies so spectral
-integrals can evaluate in one vectorized pass.
+Internals also accept numpy arrays for the photon frequencies.
 """
 
 from __future__ import annotations
@@ -178,15 +177,12 @@ def _detuning_sum(omega1, omega2, model: QuantumDotModel, direction: str):
         else:
             d1, d2 = energy - w_d + omega2, energy - w_d + omega1
         for ordering, d in (("photon-1-first", d1), ("photon-2-first", d2)):
-            # builtin abs: cheap on a scalar, and on a quadrature grid's
-            # array it needs no numpy import here
+            # builtin abs: cheap on a scalar, and on an array it needs no
+            # numpy import here
             smallest = abs(d) if isinstance(d, float) else abs(d).min()
             if smallest < DEFAULT_MIN_DETUNING:
                 raise SingularDetuningError(label, ordering, float(smallest))
         total = total + (1.0 / d1 + 1.0 / d2)
-        # free them before the next state's are made, so that fewer of a
-        # quadrature block's arrays are live, and in cache, at once
-        del d1, d2
     return abs(total)
 
 

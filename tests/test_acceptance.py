@@ -46,7 +46,7 @@ from twophoton import (
 )
 from twophoton.cli import main as cli_main
 from twophoton.quantities import C, HBAR
-from twophoton.rates import Linewidth
+from twophoton.rates import Linewidth, _initial_intervals
 
 V_PER_UM = 1e6  # V/m
 
@@ -268,16 +268,17 @@ def test_c07_quadrature_convergence(dot, experiment):
                             ("double", {"mode1": experiment.mode1,
                                         "mode2": experiment.mode2})):
         total = tpse_total(dot, field, environment, **kw)
-        # recover the accepted grid: the convergence loop returns a value
-        # computed by tpse_total_fixed at some power-of-two interval count
-        n = 256
+        # recover the accepted panel count: the convergence loop returns a
+        # value computed by tpse_total_fixed at a power-of-two count, doubling
+        # from _initial_intervals
+        n = _initial_intervals(dot, environment, kw.get("mode1"), kw.get("mode2"))
         while tpse_total_fixed(dot, field, environment, n, **kw) != total:
             n *= 2
-            assert n <= 2**20, f"accepted {environment} grid not found"
+            assert n <= 2**20, f"accepted {environment} panel count not found"
         finer = tpse_total_fixed(dot, field, environment, 2 * n, **kw)
         change = abs(finer - total) / max(abs(finer), abs(total))
         ok = ok and change < 1e-3
-        details.append(f"{environment}: {change:.2e} at {n} -> {2 * n} intervals")
+        details.append(f"{environment}: {change:.2e} at {n} -> {2 * n} panels")
     msg = _verdict("c07 quadrature convergence", ok, "; ".join(details))
     assert ok, msg
 

@@ -19,6 +19,7 @@ from twophoton.quantities import (
     C,
     EPS0,
     HBAR,
+    QE,
     Wavelength,
     angular_frequency_to_wavelength,
     wavelength_to_angular_frequency,
@@ -343,16 +344,128 @@ def test_tpse_total_double_mode_converged(dot, experiment):
     assert total == pytest.approx(estimate, rel=0.05)
 
 
+# the preset at 0.75 V/um: (environment, Q of both modes, total in 1/s), to
+# the digits of a 30-digit mpmath quadrature; no mode enters the bulk total
+PRESET_TOTALS = [
+    ("bulk", 1e2, 1.3880395770e3),
+    ("bulk", 1e6, 1.3880395770e3),
+    ("double", 5e3, 2.2307916374e4),
+    ("double", 1.32e5, 5.8892898589e5),
+    ("double", 1e6, 4.4615832264e6),
+]
+
+
+def _at_quality(experiment, quality):
+    return {"mode1": dataclasses.replace(experiment.mode1, quality=quality),
+            "mode2": dataclasses.replace(experiment.mode2, quality=quality)}
+
+
+@pytest.mark.parametrize("environment, quality, expected", PRESET_TOTALS)
+def test_tpse_total_preset_values_across_q(dot, experiment, environment, quality,
+                                           expected):
+    total = tpse_total(dot, F075, environment, **_at_quality(experiment, quality))
+    assert total == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("quality", [1.32e5, 1e6])
+def test_tpse_total_single_mode_converges_at_high_q(dot, experiment, quality):
+    kw = _at_quality(experiment, quality)
+    total = tpse_total(dot, F075, "single", **kw)
+    # against the same rule on eight times the panels, and the narrow-line
+    # limit: the centre density times (pi/2) g1
+    n = rates._initial_intervals(dot, "single", **kw)
+    assert total == pytest.approx(tpse_total_fixed(dot, F075, "single", 8 * n, **kw),
+                                  rel=1e-8)
+    mode1 = kw["mode1"]
+    centre = tpse_spectral_density_single_mode(
+        AngularFrequency(dot.omega_d.rad_per_s - mode1.omega_c.rad_per_s), dot, F075,
+        mode1)
+    g1 = mode1.omega_c.rad_per_s / mode1.quality
+    assert total == pytest.approx(centre * (math.pi / 2.0) * g1, rel=1e-3)
+
+
+def _uniform_trapezoid(model, field, environment, intervals, mode1, mode2):
+    # the composite trapezoid tpse_total used before its Gauss panels: the
+    # interior nodes of one linspace, each weighted by half the distance
+    # between its neighbours, summed in blocks of 2**13 nodes
+    legs = rates._legs(environment, mode1, mode2)
+    w_d = model.omega_d.rad_per_s
+    grid = np.linspace(0.0, w_d, intervals + 1)
+    total = 0.0
+    for start in range(1, intervals, 2**13):
+        stop = min(start + 2**13, intervals)
+        w2 = grid[start:stop]
+        density = rates._density_raw(w_d - w2, w2, field, model, *legs)
+        total += np.dot(density, grid[start + 1:stop + 1] - grid[start - 1:stop - 1])
+    return float(total / 2.0)
+
+
+def _random_dot_and_modes(rng, dot, experiment, equal_quanta, equal_linewidths):
+    # line 800-1300 nm, confinement 1-30 meV, mode1 anywhere in the emitted
+    # band, mode2 within a few linewidths of its energy-conserving partner,
+    # and Q from 1e2 to 5e3
+    mev = 1e-3 * QE / HBAR
+    w_d = 2.0 * math.pi * C / (rng.uniform(800.0, 1300.0) * 1e-9)
+    w_e = rng.uniform(1.0, 30.0) * mev
+    w_h = w_e if equal_quanta else rng.uniform(1.0, 30.0) * mev
+    model = dataclasses.replace(dot, omega_d=AngularFrequency(w_d),
+                                omega_e=AngularFrequency(w_e),
+                                omega_h=AngularFrequency(w_h))
+    w_c1 = rng.uniform(0.3, 0.7) * w_d
+    q1 = 10.0 ** rng.uniform(2.0, math.log10(5e3))
+    if equal_linewidths:
+        # w_c1 + w_c2 = w_d and w_c1/Q1 = w_c2/Q2: the two Lorentzians'
+        # poles in w2 coincide
+        w_c2 = w_d - w_c1
+        q1 = min(q1, 5e3 * w_c1 / w_c2)
+        q2 = q1 * w_c2 / w_c1
+    else:
+        w_c2 = w_d - w_c1 + rng.uniform(-3.0, 3.0) * w_c1 / q1
+        q2 = 10.0 ** rng.uniform(2.0, math.log10(5e3))
+    mode1 = dataclasses.replace(experiment.mode1, omega_c=AngularFrequency(w_c1),
+                                quality=q1)
+    mode2 = dataclasses.replace(experiment.mode2, omega_c=AngularFrequency(w_c2),
+                                quality=q2)
+    return model, mode1, mode2
+
+
+@pytest.mark.parametrize("seed, equal_quanta, equal_linewidths",
+                         [(1, False, False), (2, False, False), (3, False, False),
+                          (4, True, False), (5, True, False), (6, False, True),
+                          (7, False, True), (8, True, True)])
+def test_tpse_total_matches_fine_trapezoid_on_random_dots(dot, experiment, seed,
+                                                          equal_quanta, equal_linewidths):
+    # against the old uniform trapezoid at 2**20 intervals, which resolves a
+    # Lorentzian of Q <= 5e3 with about 100 nodes per linewidth
+    rng = np.random.default_rng([2718, seed])
+    model, mode1, mode2 = _random_dot_and_modes(rng, dot, experiment, equal_quanta,
+                                                equal_linewidths)
+    field = LateralField(rng.uniform(0.05, 2.0) * V_PER_UM)
+    for environment in ("bulk", "single", "double"):
+        total = tpse_total(model, field, environment, mode1, mode2)
+        reference = _uniform_trapezoid(model, field, environment, 2**20, mode1, mode2)
+        assert reference > 0.0, environment      # no underflow to a trivial 0 == 0
+        assert total == pytest.approx(reference, rel=1e-8), environment
+
+
 def test_tpse_total_zero_field(dot, experiment):
     assert tpse_total(dot, LateralField(0.0), "bulk") == 0.0
     assert tpse_total(dot, LateralField(0.0), "single",
                       mode1=experiment.mode1) == 0.0
 
 
+def _without_cavity_rings(monkeypatch):
+    # a mesh graded only toward the axis ends: a Q = 5000 Lorentzian is far
+    # narrower than its middle segments, so the doubling cannot converge
+    # within a small panel cap
+    breakpoints = rates._breakpoints
+    monkeypatch.setattr(rates, "_breakpoints",
+                        lambda model, leg1, leg2: breakpoints(model, None, None))
+
+
 def test_tpse_total_budget_exhaustion_raises(dot, experiment, monkeypatch):
-    # a cap of 4096 panels: the double total starts at 1024 and has not
-    # converged when the doubling reaches the cap
-    cap = 2**12
+    _without_cavity_rings(monkeypatch)
+    cap = 2**10
     monkeypatch.setattr(rates, "MAX_QUADRATURE_INTERVALS", cap)
     with pytest.raises(QuadratureError) as err:
         tpse_total(dot, F075, "double", mode1=experiment.mode1, mode2=experiment.mode2)
@@ -384,42 +497,47 @@ def test_tpse_total_argument_errors(dot, experiment):
 
 
 @pytest.mark.parametrize("environment", ["bulk", "single", "double"])
-def test_tpse_total_fixed_blocks_sum_to_the_whole_grid(dot, experiment, environment):
-    # against the density of every interior node at once and one dot: a
-    # single node, a partial first block, exact multiples of the block and
-    # ragged last blocks
-    block = rates._QUADRATURE_BLOCK
-    kw = {"mode1": experiment.mode1, "mode2": experiment.mode2}
-    legs = rates._legs(environment, **kw)
-    w_d = dot.omega_d.rad_per_s
-    for intervals in (2, 3, block - 1, block, block + 1, 2 * block + 1,
-                      3 * block + 5, 2**17):
-        grid = np.linspace(0.0, w_d, intervals + 1)
-        w2 = grid[1:-1]
-        density = rates._density_raw(w_d - w2, w2, F075, dot, *legs)
-        whole = np.dot(density, grid[2:] - grid[:-2]) / 2.0
-        assert tpse_total_fixed(dot, F075, environment, intervals, **kw) == \
-            pytest.approx(whole, rel=1e-13), intervals
+def test_tpse_total_fixed_panel_split(dot, experiment, environment):
+    # exactly `intervals` panels, at least one per mesh segment, tiling
+    # each segment; fewer panels than segments is an error
+    legs = rates._legs(environment, experiment.mode1, experiment.mode2)
+    edges = rates._breakpoints(dot, *legs)
+    segments = len(edges) - 1
+    assert edges[0] == 0.0 and edges[-1] == dot.omega_d.rad_per_s
+    assert all(lo < hi for lo, hi in zip(edges, edges[1:]))
+    for intervals in (segments, segments + 1, 2 * segments - 1, 1000):
+        panels = list(rates._panels(edges, intervals))
+        assert len(panels) == intervals
+        for lo, hi in zip(edges, edges[1:]):
+            inside = [half for mid, half in panels if lo < mid < hi]
+            assert inside, (intervals, lo)
+            assert 2.0 * sum(inside) == pytest.approx(hi - lo, rel=1e-12)
+    with pytest.raises(ValueError):
+        list(rates._panels(edges, segments - 1))
+    with pytest.raises(ValueError):
+        tpse_total_fixed(dot, F075, environment, segments - 1,
+                         mode1=experiment.mode1, mode2=experiment.mode2)
 
 
-@pytest.mark.parametrize("intervals", [2**16, 2**20])
 @pytest.mark.parametrize("environment", ["bulk", "single", "double"])
-def test_tpse_total_fixed_peak_memory(dot, experiment, environment, intervals):
-    # the linspace grid plus one block's temporaries: 8.02 block-sized
-    # arrays measured (numpy elides no temporary this small), bounded at 9,
-    # so 2.003 grid arrays at 2**16 intervals and 1.063 at 2**20, where
-    # whole-grid temporaries would take 7 grid arrays at both
+def test_tpse_total_fixed_peak_memory(dot, experiment, environment):
+    # nodes are evaluated one at a time and no grid is held: the peak is the
+    # breakpoint mesh's few KiB at 2**7 and at 2**11 panels alike, where a
+    # list of the 14336 nodes alone would take over 100 KiB
     import tracemalloc
 
     kw = {"mode1": experiment.mode1, "mode2": experiment.mode2}
-    tpse_total_fixed(dot, F075, environment, 64, **kw)   # warm up imports and caches
-    tracemalloc.start()
-    try:
-        tpse_total_fixed(dot, F075, environment, intervals, **kw)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / (8 * (intervals + 1)) < 1.0 + 9 * rates._QUADRATURE_BLOCK / intervals
+    tpse_total_fixed(dot, F075, environment, 64, **kw)   # warm up caches
+    peaks = []
+    for intervals in (2**7, 2**11):
+        tracemalloc.start()
+        try:
+            tpse_total_fixed(dot, F075, environment, intervals, **kw)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 256
+    assert peaks[1] < 8 * 1024
 
 
 def test_tpse_total_calls_fixed_once_per_doubling_level(dot, experiment, monkeypatch):
@@ -442,11 +560,14 @@ def test_tpse_total_calls_fixed_once_per_doubling_level(dot, experiment, monkeyp
     assert calls[-1] == accepted_n
 
     calls.clear()
-    cap = 2**12
+    _without_cavity_rings(monkeypatch)
+    start = rates._initial_intervals(dot, "double", **kw)
+    cap = 2**10
     monkeypatch.setattr(rates, "MAX_QUADRATURE_INTERVALS", cap)
     with pytest.raises(QuadratureError):
         tpse_total(dot, F075, "double", **kw)
-    assert calls == [cap // 4, cap // 2, cap]
+    assert calls == [start << k for k in range(len(calls))]
+    assert calls[-1] == cap
 
 
 # --- driven rates -----------------------------------------------------------
