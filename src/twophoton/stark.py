@@ -20,6 +20,11 @@ field-free sum over the two photon orderings:
 Absorption uses D = (w_k - w_g) - w_i; emission replaces the term-1
 (term-2) denominator by (w_k - w_g) - w_d + w_2 (resp. + w_1).
 
+One envelope length l_e serves both carriers: the hole's own length
+sqrt(hbar / (2 m_h w_h)) appears nowhere. That is exact only when
+m_e w_e = m_h w_h, as in the paper-fig3 preset (0.055 * 12 = 0.11 * 6);
+other masses or confinement quanta use the electron's length for both.
+
 Internals also accept numpy arrays for the photon frequencies.
 """
 

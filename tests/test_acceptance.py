@@ -268,9 +268,9 @@ def test_c07_quadrature_convergence(dot, experiment):
                             ("double", {"mode1": experiment.mode1,
                                         "mode2": experiment.mode2})):
         total = tpse_total(dot, field, environment, **kw)
-        # recover the accepted panel count: the convergence loop returns a
-        # value computed by tpse_total_fixed at a power-of-two count, doubling
-        # from _initial_intervals
+        # recover the accepted panel count: tpse_total returns the finer of
+        # its two tpse_total_fixed levels, twice _initial_intervals, found
+        # here by doubling from _initial_intervals
         n = _initial_intervals(dot, environment, kw.get("mode1"), kw.get("mode2"))
         while tpse_total_fixed(dot, field, environment, n, **kw) != total:
             n *= 2

@@ -303,16 +303,24 @@ def test_density_nonnegative_random(dot, experiment):
 
 
 def _accepted(model, field, environment, **kw):
-    # replicate the doubling loop to find the resolution tpse_total accepts
-    from twophoton.rates import _initial_intervals
-    n = _initial_intervals(model, environment, kw.get("mode1"), kw.get("mode2"))
-    prev = tpse_total_fixed(model, field, environment, n, **kw)
-    while True:
-        n *= 2
-        cur = tpse_total_fixed(model, field, environment, n, **kw)
-        if abs(cur - prev) < 1e-3 * max(abs(cur), abs(prev)):
-            return n, cur
-        prev = cur
+    # the finer of tpse_total's two levels, which it returns on convergence:
+    # twice the breakpoint mesh's segment count
+    n = 2 * rates._initial_intervals(model, environment, kw.get("mode1"), kw.get("mode2"))
+    return n, tpse_total_fixed(model, field, environment, n, **kw)
+
+
+def _count_fixed(monkeypatch) -> list:
+    # the panel counts tpse_total hands to the module attribute
+    # rates.tpse_total_fixed, which the benchmark's tracer wraps
+    calls = []
+    fixed = rates.tpse_total_fixed
+
+    def counted(model, field, environment, intervals, *args, **kwargs):
+        calls.append(intervals)
+        return fixed(model, field, environment, intervals, *args, **kwargs)
+
+    monkeypatch.setattr(rates, "tpse_total_fixed", counted)
+    return calls
 
 
 def test_tpse_total_bulk_converged(dot):
@@ -353,6 +361,14 @@ PRESET_TOTALS = [
     ("double", 1.32e5, 5.8892898589e5),
     ("double", 1e6, 4.4615832264e6),
 ]
+# the single-mode totals, held at rel 1e-8: the rule's error there is about
+# 1e-9, from mesh segments only two panels wide
+SINGLE_TOTALS = [
+    (1e2, 1.4783982649134e2),
+    (5e3, 1.4587949254726e2),
+    (1.32e5, 1.4584082841873e2),
+    (1e6, 1.4583950702343e2),
+]
 
 
 def _at_quality(experiment, quality):
@@ -365,6 +381,14 @@ def test_tpse_total_preset_values_across_q(dot, experiment, environment, quality
                                            expected):
     total = tpse_total(dot, F075, environment, **_at_quality(experiment, quality))
     assert total == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("quality, expected", SINGLE_TOTALS)
+def test_tpse_total_preset_single_mode_values_across_q(dot, experiment, quality,
+                                                       expected):
+    kw = _at_quality(experiment, quality)
+    total = tpse_total(dot, F075, "single", kw["mode1"])
+    assert total == pytest.approx(expected, rel=1e-8)
 
 
 @pytest.mark.parametrize("quality", [1.32e5, 1e6])
@@ -456,21 +480,61 @@ def test_tpse_total_zero_field(dot, experiment):
 
 def _without_cavity_rings(monkeypatch):
     # a mesh graded only toward the axis ends: a Q = 5000 Lorentzian is far
-    # narrower than its middle segments, so the doubling cannot converge
-    # within a small panel cap
+    # narrower than its middle segments, so bisecting the panels moves the
+    # estimate by far more than 0.1%
     breakpoints = rates._breakpoints
     monkeypatch.setattr(rates, "_breakpoints",
                         lambda model, leg1, leg2: breakpoints(model, None, None))
 
 
 def test_tpse_total_budget_exhaustion_raises(dot, experiment, monkeypatch):
+    # two levels are the whole budget: no third call, and the error carries
+    # the finer level's estimate and panel count
     _without_cavity_rings(monkeypatch)
-    cap = 2**10
-    monkeypatch.setattr(rates, "MAX_QUADRATURE_INTERVALS", cap)
+    kw = {"mode1": experiment.mode1, "mode2": experiment.mode2}
+    n = rates._initial_intervals(dot, "double", **kw)
+    calls = _count_fixed(monkeypatch)
     with pytest.raises(QuadratureError) as err:
-        tpse_total(dot, F075, "double", mode1=experiment.mode1, mode2=experiment.mode2)
-    assert err.value.points == cap
+        tpse_total(dot, F075, "double", **kw)
+    assert calls == [n, 2 * n]
+    assert err.value.points == 2 * n
     assert err.value.achieved > 0.0
+    assert err.value.rel_change > 1e-3
+
+
+@pytest.mark.parametrize("quality", [1e2, 1e6, 1e10])
+def test_tpse_total_preset_converges_in_every_environment(dot, experiment, quality):
+    # well inside the 0.1% rule: the two levels agree to 1e-5 (about 1e-6
+    # at most on the preset)
+    kw = _at_quality(experiment, quality)
+    for environment in ("bulk", "single", "double"):
+        n, fine = _accepted(dot, F075, environment, **kw)
+        coarse = tpse_total_fixed(dot, F075, environment, n // 2, **kw)
+        assert tpse_total(dot, F075, environment, **kw) == fine
+        assert abs(fine - coarse) < 1e-5 * fine, environment
+
+
+@pytest.mark.parametrize("quality", [1e15, 1e16])
+def test_tpse_total_raises_where_phi_cancels_digits(dot, experiment, quality):
+    # at these Q the x - 1 in phi cancels digits, and the two levels disagree
+    # by more than 0.1%
+    kw = _at_quality(experiment, quality)
+    for environment in ("single", "double"):
+        with pytest.raises(QuadratureError):
+            tpse_total(dot, F075, environment, **kw)
+
+
+def test_tpse_total_raises_after_two_calls_when_the_scale_overflows(dot, experiment,
+                                                                     monkeypatch):
+    # at Q = 1e300 the cavity leg's scale is inf: no 0.1% comparison holds
+    # between non-finite estimates, so the change is nan
+    kw = _at_quality(experiment, 1e300)
+    n = rates._initial_intervals(dot, "double", **kw)
+    calls = _count_fixed(monkeypatch)
+    with pytest.raises(QuadratureError) as err:
+        tpse_total(dot, F075, "double", **kw)
+    assert calls == [n, 2 * n]
+    assert math.isnan(err.value.rel_change)
 
 
 def test_single_mode_total_ignores_mode2(dot, experiment):
@@ -542,32 +606,21 @@ def test_tpse_total_fixed_peak_memory(dot, experiment, environment):
 
 def test_tpse_total_calls_fixed_once_per_doubling_level(dot, experiment, monkeypatch):
     # the benchmark's tracer counts integrand evaluations by wrapping the
-    # module attribute rates.tpse_total_fixed: one call per doubling level,
-    # at power-of-two counts from _initial_intervals, up to the cap on failure
+    # module attribute rates.tpse_total_fixed: exactly two calls per total,
+    # at the mesh's segment count and at twice it, converged or not
     kw = {"mode1": experiment.mode1, "mode2": experiment.mode2}
     start = rates._initial_intervals(dot, "double", **kw)
     accepted_n, accepted = _accepted(dot, F075, "double", **kw)
-    calls = []
-    fixed = rates.tpse_total_fixed
-
-    def counted(model, field, environment, intervals, *args, **kwargs):
-        calls.append(intervals)
-        return fixed(model, field, environment, intervals, *args, **kwargs)
-
-    monkeypatch.setattr(rates, "tpse_total_fixed", counted)
+    calls = _count_fixed(monkeypatch)
     assert tpse_total(dot, F075, "double", **kw) == accepted
-    assert calls == [start << k for k in range(len(calls))]
-    assert calls[-1] == accepted_n
+    assert calls == [start, 2 * start] == [start, accepted_n]
 
     calls.clear()
     _without_cavity_rings(monkeypatch)
     start = rates._initial_intervals(dot, "double", **kw)
-    cap = 2**10
-    monkeypatch.setattr(rates, "MAX_QUADRATURE_INTERVALS", cap)
     with pytest.raises(QuadratureError):
         tpse_total(dot, F075, "double", **kw)
-    assert calls == [start << k for k in range(len(calls))]
-    assert calls[-1] == cap
+    assert calls == [start, 2 * start]
 
 
 # --- driven rates -----------------------------------------------------------

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from twophoton.quantities import AngularFrequency, QE
+from twophoton.quantities import AngularFrequency, HBAR, QE
 from twophoton.rates import (
     PhotonChannel,
     effective_rabi,
@@ -38,6 +38,14 @@ V_PER_UM = 1e6
 def test_oscillator_length(dot):
     # sqrt(hbar/(2 * 0.055 m0 * w_e))
     assert oscillator_length(dot) == pytest.approx(7.597828753000565e-09, rel=1e-13)
+
+
+def test_preset_hole_length_equals_the_electron_length(dot):
+    # the model's one envelope length l_e serves both carriers, which is
+    # exact only when m_e w_e = m_h w_h, as in the preset (0.055 * 12 =
+    # 0.11 * 6)
+    l_h = math.sqrt(HBAR / (2.0 * dot.m_h_star * dot.omega_h.rad_per_s))
+    assert l_h == pytest.approx(oscillator_length(dot), rel=1e-12)
 
 
 def test_displacement_linear_in_field(dot):

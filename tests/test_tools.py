@@ -35,6 +35,10 @@ def test_outputs_write_and_diff(tmp_path, capsys):
     names = sorted(path.name for path in written.iterdir())
     assert {"fig3a.csv", "tpse-total.txt", "field-mode-d.csv",
             "field-mode-d.json"} <= set(names)
+    totals = (written / "tpse-total.txt").read_text().splitlines()
+    assert [line.split(" = ")[0] for line in totals] == [
+        "bulk", "single", "double", "single Q=1.32e+05", "double Q=1.32e+05",
+        "single Q=1e+06", "double Q=1e+06"]
     capsys.readouterr()
 
     assert outputs.main(["diff", str(written), str(written)]) == 0

@@ -8,9 +8,10 @@ fig3b.csv, enhancement.txt, and a log field sweep and a log omega2 sweep
 of the paper-fig3 preset, each as .csv and .json, plus the log field
 sweep with a third mode at the dot line (field-mode-d). It also writes
 tpse-total.txt: the preset's bulk, single and double tpse_total at
-0.75 V/um, to 17 significant digits. It uses the twophoton
-package found on sys.path (set PYTHONPATH to pick a checkout's src/) and
-prints the package path it used to stderr.
+0.75 V/um, and its single and double totals with both modes at Q = 1.32e5
+(the c02 gate's Q) and at Q = 1e6, to 17 significant digits. It uses
+the twophoton package found on sys.path (set PYTHONPATH to pick a
+checkout's src/) and prints the package path it used to stderr.
 
 `diff` prints `identical` for each file whose bytes match. For each file
 that differs it prints, per CSV column (per row key for JSON, per name
@@ -27,6 +28,7 @@ import io
 import json
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 ENHANCEMENT = ["enhancement", "--q1", "5000", "--q2", "12000",
@@ -43,6 +45,8 @@ SWEEPS = {
                              "max": 8.19577e14, "points": 81, "log": True}},
     "field-mode-d": {"modes": [{}, {}, MODE_D], "sweep": FIELD_LOG},
 }
+# Q of both modes for the extra single and double totals in tpse-total.txt
+TOTAL_QUALITIES = (1.32e5, 1e6)
 
 
 def _cli_output(argv: list[str]) -> str:
@@ -61,8 +65,13 @@ def _tpse_totals() -> str:
 
     ex = build_experiment(preset_config("paper-fig3"))
     field = LateralField(0.75e6)
-    return "".join(f"{env} = {tpse_total(ex.dot, field, env, ex.mode1, ex.mode2):.16e}\n"
-                   for env in ("bulk", "single", "double"))
+    totals = {env: tpse_total(ex.dot, field, env, ex.mode1, ex.mode2)
+              for env in ("bulk", "single", "double")}
+    for quality in TOTAL_QUALITIES:
+        mode1, mode2 = (replace(mode, quality=quality) for mode in (ex.mode1, ex.mode2))
+        for env in ("single", "double"):
+            totals[f"{env} Q={quality:.3g}"] = tpse_total(ex.dot, field, env, mode1, mode2)
+    return "".join(f"{name} = {value:.16e}\n" for name, value in totals.items())
 
 
 def write(directory: Path) -> int:
