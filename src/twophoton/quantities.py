@@ -47,6 +47,15 @@ def _check_range(value: float, name: str, low: float | None = None,
         raise ValueError(f"{name} must be <= {high}, got {value!r}")
 
 
+def _check_nonnegative(fields: dict, label: str) -> None:
+    """_check_range(value, f"{label} {name}", 0.0) for each name, value of
+    fields, in order. All values are tested at once first (a finite sum
+    means every value is finite), so fields that pass build no message."""
+    if not (math.isfinite(sum(fields.values())) and min(fields.values()) >= 0.0):
+        for name, value in fields.items():
+            _check_range(value, f"{label} {name}", 0.0)
+
+
 @dataclass(frozen=True)
 class AngularFrequency:
     """Angular frequency, rad/s. Must be positive."""

@@ -57,6 +57,7 @@ from .quantities import (
     DipoleMoment,
     EPS0,
     HBAR,
+    _check_nonnegative,
     _check_range,
     angular_frequency_to_wavelength,
 )
@@ -67,9 +68,9 @@ from .stark import (
     QuantumDotModel,
     _P_SHELL,
     _detuning_sum,
+    _dipoles,
     _peak_field,
     dipole_product_sp,
-    dipole_ss,
 )
 
 __all__ = [
@@ -167,8 +168,7 @@ class RateReport:
     enhancement_tpa: float           # G1 G2
 
     def __post_init__(self):
-        for name, value in self.__dict__.items():
-            _check_range(value, f"report field {name}", 0.0)
+        _check_nonnegative(vars(self), "report field")
 
 
 @dataclass(frozen=True)
@@ -267,12 +267,16 @@ def photon_number_cavity(drive: DriveField, mode: CavityMode) -> float:
 # --- spontaneous-emission spectral densities ------------------------------
 
 
+# denominator of the bulk leg factor n w^3 / (3 pi^2 hbar eps0 c^3)
+_BULK_LEG = 3.0 * math.pi**2 * HBAR * EPS0 * C**3
+
+
 def _leg_factor(omega, mode: CavityMode | None, n: float):
     # one photon's environment factor, omega raw rad/s scalar or array:
     # bulk n w^3 / (3 pi^2 hbar eps0 c^3) when mode is None, otherwise the
     # cavity's 2 Q psi^2 phi(w) / (pi hbar n^2 eps0 V)
     if mode is None:
-        return n * omega**3 / (3.0 * math.pi**2 * HBAR * EPS0 * C**3)
+        return n * omega**3 / _BULK_LEG
     # never 2 Q, which overflows for Q near the float maximum (and inf times
     # a zero Lorentzian is nan); halving the denominator instead is exact
     return mode.quality * mode.psi**2 * _mismatch_raw(omega, mode) / (
@@ -552,7 +556,7 @@ def opse_rate(model: QuantumDotModel, field: LateralField,
     dipole. In bulk that is n w_d^3 d_ss^2 / (3 pi hbar eps0 c^3); a mode at
     the transition frequency, when given, takes the photon instead, which
     scales the bulk rate by its Purcell factor times psi^2."""
-    d = dipole_ss(field, model).coulomb_meters
+    d = _dipoles(field, model)[0]
     leg = _leg_factor(model.omega_d.rad_per_s, mode_d, model.host.n)
     # d * leg first: d * d underflows while the rate is still representable
     return math.pi * d * (d * leg)
@@ -614,14 +618,14 @@ def _field_row(ex: Experiment):
     p_ref on every row, so a rescale cannot overflow."""
     peak = _peak_field(ex.dot)
     ref = evaluate_point(peak.v_per_m, ex)
-    p_ref, d_ref = dipole_product_sp(peak, ex.dot), dipole_ss(peak, ex.dot).coulomb_meters
+    d_ref, p_ref, _, _ = _dipoles(peak, ex.dot)
 
     def row(field_v_per_m: float) -> RateReport:
-        field = LateralField(field_v_per_m)
+        d, p, _, _ = _dipoles(LateralField(field_v_per_m), ex.dot)
         # a dipole that underflows at its peak is zero on every row
-        r = dipole_product_sp(field, ex.dot) / p_ref if p_ref else 0.0
-        q = dipole_ss(field, ex.dot).coulomb_meters / d_ref if d_ref else 0.0
-        return RateReport(field.v_per_m, ref.omega_eff_over_2pi * r,
+        r = p / p_ref if p_ref else 0.0
+        q = d / d_ref if d_ref else 0.0
+        return RateReport(field_v_per_m, ref.omega_eff_over_2pi * r,
                           ref.gamma_opse_over_2pi * q * q, ref.gamma_tpste_over_2pi * r * r,
                           ref.tpse_spectral_density * r * r, ref.enhancement_tpse,
                           ref.enhancement_tpa)

@@ -22,13 +22,14 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter, truediv
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from .presets import PRESET, _reason, build_experiment, preset_config
-from .quantities import CONSTANTS_VERSION, _check_range
+from .quantities import CONSTANTS_VERSION, _check_nonnegative, _check_range
 from .rates import Experiment, RateReport, _field_row, _omega2_row
 
 __all__ = [
@@ -84,8 +85,7 @@ class SpectralRow:
     tpse_power_bulk_rel: float
 
     def __post_init__(self):
-        for name, value in self.__dict__.items():
-            _check_range(value, f"spectral row field {name}", 0.0)
+        _check_nonnegative(vars(self), "spectral row field")
 
 
 @dataclass(frozen=True)
@@ -442,38 +442,31 @@ _COLUMNS = {
 }
 
 
-def _fmt(value: float) -> str:
-    # 17 significant digits: parses back to exactly the same double
-    return format(value, ".16e")
-
-
+# Every float is written as %.16e: 17 significant digits, which parse back
+# to exactly the same double. Each row is one % format of a line template;
+# the column order is the row type's field order.
 def result_to_csv_text(result: SweepResult) -> str:
     columns = _COLUMNS[result.sweep_variable][1]
-    lines = [",".join(header for header, _, _ in columns)]
-    for row in result.rows:
-        lines.append(",".join(_fmt(getattr(row, name) / divisor)
-                              for _, name, divisor in columns))
-    return "\n".join(lines) + "\n"
+    line = ",".join(["%.16e"] * len(columns)) + "\n"
+    fields = attrgetter(*(name for _, name, _ in columns))
+    divisors = [divisor for _, _, divisor in columns]
+    lines = [",".join(header for header, _, _ in columns) + "\n"]
+    lines += [line % tuple(map(truediv, fields(row), divisors)) for row in result.rows]
+    return "".join(lines)
 
 
 def result_to_json_text(result: SweepResult) -> str:
-    # hand-rolled so every float carries 17 significant digits; json.dumps
-    # offers no hook for float formatting
-    columns = _COLUMNS[result.sweep_variable][1]
-    lines = [
-        "{",
-        f'  "config_hash": {json.dumps(result.config_hash)},',
-        f'  "constants_version": {json.dumps(result.constants_version)},',
-        f'  "sweep_variable": {json.dumps(result.sweep_variable)},',
-        '  "rows": [',
-    ]
-    last = len(result.rows) - 1
-    for i, row in enumerate(result.rows):
-        body = ", ".join(f'"{name}": {_fmt(getattr(row, name))}'
-                         for _, name, _ in columns)
-        lines.append("    {" + body + "}" + ("," if i < last else ""))
-    lines += ["  ]", "}"]
-    return "\n".join(lines) + "\n"
+    # hand-rolled: json.dumps offers no hook for float formatting
+    names = [name for _, name, _ in _COLUMNS[result.sweep_variable][1]]
+    line = "    {" + ", ".join(f'"{name}": %.16e' for name in names) + "},\n"
+    fields = attrgetter(*names)
+    lines = ["{\n"] + [f'  "{key}": {json.dumps(getattr(result, key))},\n'
+                       for key in ("config_hash", "constants_version", "sweep_variable")]
+    lines += ['  "rows": [\n'] + [line % fields(row) for row in result.rows]
+    if result.rows:
+        lines[-1] = lines[-1][:-2] + "\n"    # no comma after the last row
+    lines.append("  ]\n}\n")
+    return "".join(lines)
 
 
 def parse_json_text(text: str) -> SweepResult:
@@ -482,8 +475,8 @@ def parse_json_text(text: str) -> SweepResult:
     data = json.loads(text)
     variable = data["sweep_variable"]
     row_type, columns = _COLUMNS[variable]
-    rows = tuple(row_type(**{name: float(entry[name]) for _, name, _ in columns})
-                 for entry in data["rows"])
+    values = itemgetter(*(name for _, name, _ in columns))
+    rows = tuple(row_type(*map(float, values(entry))) for entry in data["rows"])
     return SweepResult(rows=rows, sweep_variable=variable,
                        config_hash=data["config_hash"],
                        constants_version=data["constants_version"])

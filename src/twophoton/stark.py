@@ -123,23 +123,24 @@ def _peak_field(model: QuantumDotModel) -> LateralField:
                         / _displacement_slope(model))
 
 
-def _overlap(field: LateralField, model: QuantumDotModel) -> float:
-    dx = stark_displacement(field, model)
-    l_e = oscillator_length(model)
-    return math.exp(-dx * dx / (4.0 * l_e * l_e))
+def _dipoles(field: LateralField, model: QuantumDotModel) -> tuple:
+    """(d_ss in C m, |d_gk||d_ke| in C^2 m^2, dx, l_e): both dipoles from
+    one displacement dx and one Gaussian overlap exp(-dx^2/(4 l_e^2))."""
+    dx, l_e = stark_displacement(field, model), oscillator_length(model)
+    overlap = math.exp(-dx * dx / (4.0 * l_e * l_e))
+    return QE * model.r_cv * overlap, QE**2 * model.r_cv * dx * overlap, dx, l_e
 
 
 def dipole_ss(field: LateralField, model: QuantumDotModel) -> DipoleMoment:
     """s-s interband dipole e r_cv exp(-dx^2/(4 l_e^2)); the zero-field
     transition dipole, Gaussian-suppressed as the envelopes separate."""
-    return DipoleMoment(QE * model.r_cv * _overlap(field, model))
+    return DipoleMoment(_dipoles(field, model)[0])
 
 
 def dipole_ss_field_derivative(field: LateralField, model: QuantumDotModel) -> float:
     """Analytic d(d_ss)/d(field), C m per (V/m)."""
-    dx, l_e = stark_displacement(field, model), oscillator_length(model)
-    return QE * model.r_cv * _overlap(field, model) \
-        * (-dx * _displacement_slope(model) / (2.0 * l_e * l_e))
+    d, _, dx, l_e = _dipoles(field, model)
+    return d * (-dx * _displacement_slope(model) / (2.0 * l_e * l_e))
 
 
 def dipole_product_sp(field: LateralField, model: QuantumDotModel) -> float:
@@ -148,15 +149,15 @@ def dipole_product_sp(field: LateralField, model: QuantumDotModel) -> float:
     Identical for both p-shell states; odd in the field, so it
     vanishes at zero field where parity forbids the two-photon channel.
     """
-    return QE**2 * model.r_cv * stark_displacement(field, model) * _overlap(field, model)
+    return _dipoles(field, model)[1]
 
 
 def dipole_product_sp_field_derivative(field: LateralField,
                                        model: QuantumDotModel) -> float:
-    """Analytic d(|d_gk||d_ke|)/d(field), C^2 m^2 per (V/m)."""
-    dx, l_e = stark_displacement(field, model), oscillator_length(model)
-    return QE**2 * model.r_cv * _displacement_slope(model) * _overlap(field, model) \
-        * (1.0 - dx * dx / (2.0 * l_e * l_e))
+    """Analytic d(|d_gk||d_ke|)/d(field), C^2 m^2 per (V/m): e d_ss
+    d(dx)/d(field) (1 - dx^2/(2 l_e^2))."""
+    d, _, dx, l_e = _dipoles(field, model)
+    return QE * d * _displacement_slope(model) * (1.0 - dx * dx / (2.0 * l_e * l_e))
 
 
 # the p-shell intermediate states: label, and the QuantumDotModel attribute

@@ -16,7 +16,7 @@ import pytest
 from twophoton.cavity import purcell_factor
 from twophoton.presets import preset_config
 from twophoton.quantities import angular_frequency_to_wavelength
-from twophoton.rates import evaluate_point, opse_rate
+from twophoton.rates import RateReport, evaluate_point, opse_rate
 from twophoton.scenario import (
     _COLUMNS,
     _KEYS,
@@ -806,6 +806,108 @@ def test_omega2_round_trip():
     lines = result_to_csv_text(result).splitlines()
     assert lines[0] == "omega2_rad_per_s,tpse_power_cavity_rel,tpse_power_bulk_rel"
     assert len(lines) == 6
+
+
+# values at the edges of what a row holds: both zeros, the smallest
+# subnormal, a tiny normal and the largest finite float
+EDGE_VALUES = (0.0, -0.0, 5e-324, 1e-300, 1.7976931348623157e308)
+
+
+def _edge_result(variable: str, count: int) -> SweepResult:
+    # count rows, each value of EDGE_VALUES visiting every column
+    row_type, columns = _COLUMNS[variable]
+    rows = tuple(row_type(*(EDGE_VALUES[(i + j) % len(EDGE_VALUES)]
+                            for j in range(len(columns)))) for i in range(count))
+    return SweepResult(rows=rows, sweep_variable=variable, config_hash="0" * 64,
+                       constants_version="codata2018")
+
+
+def _reference_csv(result: SweepResult) -> str:
+    # the serializers as they were, one format(v, ".16e") per value
+    columns = _COLUMNS[result.sweep_variable][1]
+    lines = [",".join(header for header, _, _ in columns)]
+    for row in result.rows:
+        lines.append(",".join(format(getattr(row, name) / divisor, ".16e")
+                              for _, name, divisor in columns))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_json(result: SweepResult) -> str:
+    columns = _COLUMNS[result.sweep_variable][1]
+    lines = ["{",
+             f'  "config_hash": {json.dumps(result.config_hash)},',
+             f'  "constants_version": {json.dumps(result.constants_version)},',
+             f'  "sweep_variable": {json.dumps(result.sweep_variable)},',
+             '  "rows": [']
+    last = len(result.rows) - 1
+    for i, row in enumerate(result.rows):
+        body = ", ".join(f'"{name}": {format(getattr(row, name), ".16e")}'
+                         for _, name, _ in columns)
+        lines.append("    {" + body + "}" + ("," if i < last else ""))
+    lines += ["  ]", "}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_columns_follow_the_row_field_order():
+    # the serializers and parse_json_text pass row fields by position
+    for row_type, columns in _COLUMNS.values():
+        assert [name for _, name, _ in columns] == \
+            [field.name for field in dataclasses.fields(row_type)]
+
+
+@pytest.mark.parametrize("variable", ["field", "omega2"])
+@pytest.mark.parametrize("count", [0, 1, 2 * len(EDGE_VALUES)])
+def test_serializers_match_per_value_formatting_at_the_float_edges(variable, count):
+    result = _edge_result(variable, count)
+    csv_text, json_text = result_to_csv_text(result), result_to_json_text(result)
+    assert csv_text == _reference_csv(result)
+    assert json_text == _reference_json(result)
+    parsed = parse_json_text(json_text)
+    assert parsed == result
+    # == takes -0.0 for 0.0; the bytes keep the sign
+    assert result_to_json_text(parsed) == json_text
+
+
+# each row type and the label its check messages carry
+ROW_LABELS = [(RateReport, "report field"), (SpectralRow, "spectral row field")]
+
+
+@pytest.mark.parametrize("row_type, label", ROW_LABELS)
+@pytest.mark.parametrize("bad, rule", [(math.nan, "must be finite, got nan"),
+                                       (math.inf, "must be finite, got inf"),
+                                       (-math.inf, "must be finite, got -inf"),
+                                       (-1.0, "must be >= 0.0, got -1.0")])
+def test_row_check_names_the_first_bad_field(row_type, label, bad, rule):
+    names = [field.name for field in dataclasses.fields(row_type)]
+    for i, name in enumerate(names):
+        values = [1.0] * len(names)
+        values[i] = bad
+        with pytest.raises(ValueError) as err:
+            row_type(*values)
+        assert str(err.value) == f"{label} {name} {rule}"
+        # a second bad field later on: the first is still the one named
+        for j in range(i + 1, len(names)):
+            both = list(values)
+            both[j] = math.nan
+            with pytest.raises(ValueError) as err:
+                row_type(*both)
+            assert str(err.value) == f"{label} {name} {rule}"
+
+
+@pytest.mark.parametrize("row_type", [row_type for row_type, _ in ROW_LABELS])
+def test_row_check_accepts_signed_zero_subnormals_and_an_overflowing_sum(row_type):
+    names = [field.name for field in dataclasses.fields(row_type)]
+    width = len(names)
+    for value in (-0.0, 5e-324):
+        for i in range(width):
+            values = [1.0] * width
+            values[i] = value
+            assert getattr(row_type(*values), names[i]) == value
+    # two 1e308 fields sum to inf, yet each field is finite
+    values = [1.0] * width
+    values[0] = values[-1] = 1e308
+    assert math.isinf(sum(values))
+    row_type(*values)
 
 
 def test_write_output_errors(tmp_path):
